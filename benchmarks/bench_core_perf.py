@@ -56,8 +56,8 @@ def _record(name: str, fn, rounds: int = 9):
     times = []
     result = None
     for _ in range(rounds):
-        # drop the previous round's result *before* timing: a retained
-        # overlay would otherwise charge this round for quiescing it
+        # drop the previous round's result *before* timing, so freeing it
+        # is never charged to this round
         result = None
         t0 = time.perf_counter()
         result = fn()
@@ -136,39 +136,54 @@ def test_perf_simulation(bert_graph):
     assert result.makespan_us > 0
 
 
-def test_perf_simulate_compiled(bert_graph):
-    """The array engine on a warm lowering, vs the object engine.
+def test_perf_journaled_amp_query(bert_trace, bert_graph):
+    """One warm AMP question, journaled, vs transforming a deep copy.
 
-    ``simulate()`` itself reaches this path after a graph goes hot (the
-    tiered selection in :mod:`repro.core.simulate`); this row times the
-    engine loop alone, with the lowering done outside the timed region.
-    Quick gate: the compiled engine must never lose to the object engine
-    it replaces — and must agree with it bit-for-bit.
+    The journaled path transforms the base graph in place inside
+    ``graph.overlay()``, simulates on the patched base lowering (AMP only
+    rewrites durations) and rolls back; the reference deep-copies,
+    transforms, lowers and simulates.  Quick gate: the journaled query
+    must be at least 2x faster — and agree with the copy bit-for-bit.
     """
-    from repro.core.compiled import compiled_for
-    from repro.core.simulate import _DEFAULT_POLICY, _simulate_event_driven
+    ctx = WhatIfContext.from_trace(bert_trace)
+    simulate(bert_graph)  # the warm base lowering every question reuses
 
-    compiled = compiled_for(bert_graph)
-    result = _record("simulate_compiled", compiled.run, rounds=15)
-    reference = _record(
-        "simulate_object",
-        lambda: _simulate_event_driven(bert_graph, _DEFAULT_POLICY),
-        rounds=9,
-    )
+    def journaled():
+        with bert_graph.overlay() as working:
+            AutomaticMixedPrecision().apply(working, ctx)
+            return simulate(working)
+
+    def copied():
+        working = bert_graph.copy()
+        AutomaticMixedPrecision().apply(working, ctx)
+        return simulate(working)
+
+    result = _record("amp_query_journaled", journaled, rounds=9)
+    reference = _record("amp_query_copy", copied, rounds=5)
     assert result.makespan_us == reference.makespan_us
-    assert result.start_us == reference.start_us
-    assert _RECORDS["simulate_compiled"] <= _RECORDS["simulate_object"]
+    assert list(result.start_us.values()) == \
+        list(reference.start_us.values())
+    assert result.thread_busy == reference.thread_busy
+    assert (_RECORDS["amp_query_journaled"] * 2
+            <= _RECORDS["amp_query_copy"])
 
 
 def test_perf_graph_copy(bert_graph):
     """Working-graph acquisition for one what-if question.
 
-    The question path now takes a copy-on-write overlay (tasks shared until
-    written) instead of a deep copy — that *is* the copy step sessions pay
-    per question; the full deep copy is tracked separately below.
+    The question path opens a journaled transaction on the base graph
+    (nothing is copied; an untouched transaction closes in O(1)) — that
+    *is* the copy step sessions pay per question; the full deep copy is
+    tracked separately below.
     """
-    clone = _record("graph_copy", bert_graph.overlay, rounds=15)
-    assert len(clone) == len(bert_graph)
+    simulate(bert_graph)  # opening needs the warm base lowering
+
+    def acquire():
+        with bert_graph.overlay() as working:
+            return len(working)
+
+    size = _record("graph_copy", acquire, rounds=15)
+    assert size == len(bert_graph)
 
 
 def test_perf_graph_deepcopy(bert_graph):
@@ -181,24 +196,24 @@ def test_perf_fusedadam_transform(bert_trace, bert_graph):
     ctx = WhatIfContext.from_trace(bert_trace)
 
     def transform():
-        working = bert_graph.overlay()
-        FusedAdam().apply(working, ctx)
-        return working
+        with bert_graph.overlay() as working:
+            FusedAdam().apply(working, ctx)
+            return len(working)
 
-    graph = _record("fusedadam_transform", transform, rounds=9)
-    assert len(graph) < len(bert_graph)
+    size = _record("fusedadam_transform", transform, rounds=9)
+    assert size < len(bert_graph)
 
 
 def test_perf_amp_transform(bert_trace, bert_graph):
     ctx = WhatIfContext.from_trace(bert_trace)
 
     def transform():
-        working = bert_graph.overlay()
-        AutomaticMixedPrecision().apply(working, ctx)
-        return working
+        with bert_graph.overlay() as working:
+            AutomaticMixedPrecision().apply(working, ctx)
+            return len(working)
 
-    graph = _record("amp_transform", transform, rounds=5)
-    assert len(graph) == len(bert_graph)
+    size = _record("amp_transform", transform, rounds=5)
+    assert size == len(bert_graph)
 
 
 def test_perf_whatif_sweep(bert_session):
@@ -222,8 +237,9 @@ def test_perf_simulate_many(bert_session):
     """Batched multi-simulate: a 24-cell GPU-duration-scaling grid.
 
     One shared compiled baseline, each cell a sparse column patch — versus
-    the per-cell path (overlay + ~5k copy-on-write task writes + simulate
-    each).  The batched grid must be at least 5x faster and bit-identical.
+    the per-cell path (a transaction + ~5k journaled task writes +
+    simulate each).  The batched grid must be at least 5x faster and
+    bit-identical.
     """
     from repro.core.compiled import CellDelta
 
@@ -241,10 +257,10 @@ def test_perf_simulate_many(bert_session):
     def per_cell():
         out = []
         for factor in factors:
-            working = graph.overlay()
-            for t in [t for t in working.tasks() if t.is_gpu]:
-                t.duration = base.get(t, t.duration) * factor
-            out.append(simulate(working))
+            with graph.overlay() as working:
+                for t in [t for t in working.tasks() if t.is_gpu]:
+                    t.duration = base.get(t, t.duration) * factor
+                out.append(simulate(working))
         return out
 
     reference = _record("simulate_percell_24cell", per_cell, rounds=1)

@@ -13,7 +13,7 @@ answer questions for many different optimizations"):
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import improvement_percent, speedup
 from repro.analysis.parallel import fork_map
@@ -23,7 +23,6 @@ from repro.core.compiled import simulate_many as _compiled_simulate_many
 from repro.core.construction import build_graph
 from repro.core.graph import DependencyGraph
 from repro.core.simulate import SimulationResult, simulate
-from repro.core.task import Task
 from repro.framework.config import TrainingConfig
 from repro.framework.engine import Engine
 from repro.hw.topology import ClusterSpec
@@ -69,16 +68,11 @@ class WhatIfSession:
     machine you no longer have access to).
     """
 
-    def __init__(self, trace: Trace, config: Optional[TrainingConfig] = None,
-                 copy_on_write: bool = True):
+    def __init__(self, trace: Trace, config: Optional[TrainingConfig] = None):
         self.trace = trace
         self.config = config or TrainingConfig()
-        self.copy_on_write = copy_on_write
         self._graph: Optional[DependencyGraph] = None
         self._baseline: Optional[SimulationResult] = None
-        # old task -> pristine clone the base graph swapped in after a
-        # copy-on-write overlay materialized a write (see _on_task_swapped)
-        self._task_forward: Dict[Task, Task] = {}
 
     # ------------------------------------------------------------ constructors
 
@@ -133,43 +127,7 @@ class WhatIfSession:
         """The baseline dependency graph (constructed lazily, cached)."""
         if self._graph is None:
             self._graph = build_graph(self.trace)
-            # keep the cached baseline result keyed correctly when a
-            # copy-on-write overlay materializes a mutated task and the base
-            # graph swaps in a pristine clone
-            self._graph.add_swap_listener(self._on_task_swapped)
         return self._graph
-
-    def _on_task_swapped(self, old, new) -> None:
-        self._task_forward[old] = new
-        if self._baseline is not None:
-            start = self._baseline.start_us.pop(old, None)
-            if start is not None:
-                self._baseline.start_us[new] = start
-
-    def _current_task(self, task: Task) -> Task:
-        """Follow copy-on-write swaps to the task's current incarnation.
-
-        Baseline task references held across :meth:`predict`/:meth:`sweep`
-        calls can go stale: when an overlay materializes a write, the base
-        graph swaps in a pristine clone of the shared task.  The swap
-        chain is followed so a :class:`~repro.core.compiled.CellDelta`
-        built from ``session.graph.tasks()`` stays valid for the whole
-        session lifetime.
-        """
-        forward = self._task_forward
-        while task in forward:
-            task = forward[task]
-        return task
-
-    def _working_graph(self) -> DependencyGraph:
-        """A mutable graph for one what-if question.
-
-        Copy-on-write sessions hand out a cheap overlay (shares unmutated
-        tasks with the baseline); otherwise a full deep copy.
-        """
-        if self.copy_on_write:
-            return self.graph.overlay()
-        return self.graph.copy()
 
     @property
     def baseline_result(self) -> SimulationResult:
@@ -188,11 +146,12 @@ class WhatIfSession:
 
         Built once per graph generation and cached *on the graph* (see
         :func:`repro.core.compiled.compiled_for`), so every consumer —
-        :meth:`simulate_many`, :meth:`sweep` cell batches, forked sweep
-        workers that inherit this session — shares one lowering.  The
-        existing copy-on-write write barrier invalidates it: any
-        structural mutation or in-place task write bumps the graph
-        generation and the next access relowers.
+        :meth:`simulate_many`, :meth:`sweep` cell batches, the
+        transactions :meth:`predict` opens, forked sweep workers that
+        inherit this session — shares one lowering.  The write barrier
+        invalidates it: any structural mutation or in-place task write
+        outside a transaction bumps the graph generation and the next
+        access relowers.
         """
         return compiled_for(self.graph)
 
@@ -216,17 +175,19 @@ class WhatIfSession:
     ) -> Prediction:
         """Predict the effect of one optimization on iteration time.
 
-        The baseline graph is viewed copy-on-write (or deep-copied for
-        ``copy_on_write=False`` sessions), transformed by the optimization
-        model, and re-simulated (with the model's custom scheduler when
-        supplied).
+        The optimization model transforms the baseline graph in place
+        inside a journaled transaction (:meth:`DependencyGraph.overlay`),
+        the transformed graph is re-simulated (with the model's custom
+        scheduler when supplied), and the transaction rolls the graph back
+        on exit — also when the model raises.
         """
-        working = self._working_graph()
-        outcome = optimization.apply(working, self.context(cluster))
-        result = simulate(outcome.graph, outcome.scheduler)
+        baseline_us = self.baseline_us  # simulated before any transform
+        with self.graph.overlay() as working:
+            outcome = optimization.apply(working, self.context(cluster))
+            result = simulate(outcome.graph, outcome.scheduler)
         return Prediction(
             optimization=optimization.name,
-            baseline_us=self.baseline_us,
+            baseline_us=baseline_us,
             predicted_us=result.makespan_us,
         )
 
@@ -236,9 +197,10 @@ class WhatIfSession:
         cluster: Optional[ClusterSpec] = None,
     ):
         """Like :meth:`predict` but returns ``(graph, SimulationResult)``
-        for deeper inspection (per-task start times, breakdowns)."""
-        working = self._working_graph()
-        outcome = optimization.apply(working, self.context(cluster))
+        for deeper inspection (per-task start times, breakdowns).  The
+        caller keeps the graph, so the model transforms a deep copy."""
+        outcome = optimization.apply(self.graph.copy(),
+                                     self.context(cluster))
         result = simulate(outcome.graph, outcome.scheduler)
         return outcome.graph, result
 
@@ -255,23 +217,13 @@ class WhatIfSession:
         per-task duration/gap overrides onto *this* session's baseline.
         The baseline is lowered once (:meth:`compiled_baseline`) and each
         cell re-runs only the array engine over patched columns —
-        O(N + |delta|) per cell instead of a full overlay + graph setup —
+        O(N + |delta|) per cell instead of a transform + graph setup —
         bit-identical to transforming and simulating each cell's graph
         from scratch.
 
         ``scheduler`` must be heap-friendly (a
         :class:`~repro.core.simulate.SchedulePolicy` or ``None``).
         """
-        if self._task_forward:
-            cells = [
-                CellDelta(
-                    label=cell.label,
-                    durations={self._current_task(t): v
-                               for t, v in cell.durations.items()},
-                    gaps={self._current_task(t): v
-                          for t, v in cell.gaps.items()},
-                ) for cell in cells
-            ]
         return _compiled_simulate_many(self.compiled_baseline(), list(cells),
                                        scheduler)
 

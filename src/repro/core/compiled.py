@@ -1,9 +1,10 @@
 """Compiled simulation core: struct-of-arrays lowering + array engine.
 
-The object-graph engine in :mod:`repro.core.simulate` spends most of its
-time chasing Python attribute lookups and dict probes per dispatched task.
-This module lowers a :class:`~repro.core.graph.DependencyGraph` once into
-flat, densely indexed arrays and runs Algorithm 1 over integers:
+Walking the object graph per dispatched task means Python attribute
+lookups and dict probes in the hot loop.  This module lowers a
+:class:`~repro.core.graph.DependencyGraph` once into flat, densely indexed
+arrays and runs Algorithm 1 over integers — the production engine behind
+every ``simulate()`` with a ``SchedulePolicy``:
 
 * **stable ordinals** — every task gets a dense ordinal assigned
   thread-major (threads in sorted order, tasks in linked-list order
@@ -28,22 +29,25 @@ flat, densely indexed arrays and runs Algorithm 1 over integers:
 
 Invalidation contract (see ``docs/perf.md``): a compiled graph is cached
 on its ``DependencyGraph`` keyed by the graph's mutation generation.
-Structural mutations (append/insert/remove/edges/``mark_unordered``/
-copy-on-write task swaps) bump the generation directly; in-place ``Task``
-field writes bump it through the write stamp the lowering pass leaves on
-each task (``Task.__setattr__`` consults it exactly like the existing
-copy-on-write barrier).  A stale cache is therefore impossible — at worst
-a conservative bump forces one redundant relowering.
+Structural mutations (append/insert/remove/edges/``mark_unordered``) bump
+the generation directly; in-place ``Task`` field writes bump it through
+the write stamp the lowering pass leaves on each task (``Task.__setattr__``
+consults it before the write lands).  A stale cache is therefore
+impossible — at worst a conservative bump forces one redundant
+relowering.  Inside an open what-if transaction
+(``DependencyGraph.overlay``) nothing is cached: :func:`simulate_transacted`
+patches or relowers per run, and closing the transaction restores the
+base lowering together with the generation.
 """
 
 import heapq
 import os
-import weakref
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
+from repro.core.graph import _FIELD, _WriteStamp
 from repro.core.task import Task
 from repro.tracing.records import ExecutionThread
 
@@ -93,27 +97,6 @@ def stable_ordinals(graph) -> Dict[Task, int]:
         for task in graph.iter_tasks_on(thread):
             ordinal[task] = len(ordinal)
     return ordinal
-
-
-class _WriteStamp:
-    """Invalidation hook the lowering pass leaves on every task.
-
-    ``Task.__setattr__`` pops and fires the stamp on the first in-place
-    field write after a lowering, bumping the owning graph's mutation
-    generation so the cached :class:`CompiledGraph` is rebuilt.  One
-    shared stamp per graph keeps the lowering pass to a single dict write
-    per task.
-    """
-
-    __slots__ = ("_graph_ref",)
-
-    def __init__(self, graph) -> None:
-        self._graph_ref = weakref.ref(graph)
-
-    def bump(self) -> None:
-        graph = self._graph_ref()
-        if graph is not None:
-            graph._generation += 1
 
 
 @dataclass
@@ -174,8 +157,10 @@ class CompiledGraph:
         # one linked-list walk per thread assigns ordinals, reads every
         # per-task field, and leaves the write stamp; within a thread
         # ordinals are consecutive, so an ordered thread's successor link
-        # is simply ``i + 1``
-        stamp = _WriteStamp(graph)
+        # is simply ``i + 1``.  A graph inside an open transaction is not
+        # stamped: its base tasks still carry the stamp that journals their
+        # writes, and the lowering is never cached
+        stamp = _WriteStamp(graph) if graph._journal is None else None
         tasks: List[Task] = []
         ordinal: Dict[Task, int] = {}
         duration: List[float] = []
@@ -196,7 +181,8 @@ class CompiledGraph:
                 ordinal[task] = i
                 append(task)
                 d = task.__dict__
-                d["_sim_stamp"] = stamp
+                if stamp is not None:
+                    d["_sim_stamp"] = stamp
                 duration.append(d["duration"])
                 gap.append(d["gap"])
                 thread_idx.append(ti)
@@ -486,17 +472,54 @@ def compiled_for(graph) -> CompiledGraph:
     """The cached :class:`CompiledGraph` of ``graph``, relowered when stale.
 
     Validity is keyed on the graph's mutation generation: structural
-    mutations and copy-on-write materializations bump it directly, and
-    in-place task field writes bump it through the write stamps
-    :meth:`CompiledGraph.build` leaves behind.
+    mutations bump it directly, and in-place task field writes bump it
+    through the write stamps :meth:`CompiledGraph.build` leaves behind.
+    Inside an open what-if transaction a stale lowering is rebuilt but not
+    cached (the transaction restores the base lowering on exit).
     """
     compiled = graph._compiled
-    generation = graph._generation
-    if compiled is not None and compiled.generation == generation:
+    if compiled is not None and compiled.generation == graph._generation:
         return compiled
     compiled = CompiledGraph.build(graph)
-    graph._compiled = compiled
+    if graph._journal is None:
+        graph._compiled = compiled
     return compiled
+
+
+def simulate_transacted(graph, policy):
+    """Simulate a graph inside its open what-if transaction.
+
+    The base lowering the transaction opened on is reused whenever the
+    structure is untouched: when the journal holds only task field writes,
+    its duration/gap columns are copied and the written tasks patched in
+    by ordinal (the :func:`simulate_many` path; the lowering reads no other
+    task field, and policy keys are taken at run time).  Any structural
+    record relowers the transacted graph once, without caching.  Returns a
+    ``SimulationResult`` bit-identical to lowering the graph from scratch.
+    """
+    base = graph._compiled
+    if base.generation == graph._generation:
+        return base.run(policy)
+    journal = graph._journal
+    written = []
+    i = len(journal) - 1
+    while i >= 0:
+        kind = journal[i]
+        if kind != _FIELD:
+            return CompiledGraph.build(graph).run(policy)
+        written.append(journal[i - 3])
+        i -= 4  # task, field name, prior value, kind
+    ordinal = base.ordinal
+    duration = base._duration_l[:]
+    gap = base._gap_l[:]
+    for task in written:
+        # a task removed before the transaction can still carry an old
+        # stamp of this graph; it is not simulated, so it is not patched
+        i = ordinal.get(task)
+        if i is not None:
+            duration[i] = task.duration
+            gap[i] = task.gap
+    return base.run(policy, duration=duration, gap=gap)
 
 
 # -------------------------------------------------------- batched multi-sim

@@ -20,7 +20,7 @@ Structure (paper Section 4.2):
   ``thread_predecessor`` O(1)
   ``add_dependency``     O(1)
   ``copy``               O(N + E)
-  ``overlay``            O(N) pointer copies, no task cloning
+  ``overlay``            O(1) to open (warm lowering), O(journal) to close
   =====================  ==========
 
 * **explicit edges** — cross-thread dependencies: launch->kernel correlation,
@@ -30,27 +30,75 @@ Structure (paper Section 4.2):
 Mutating operations keep the graph consistent and are the substrate of the
 transformation primitives in :mod:`repro.core.transform`.
 
-Copy-on-write overlays
-----------------------
+Journaled what-if transactions
+------------------------------
 
-:meth:`DependencyGraph.overlay` builds a cheap writable view for what-if
-questions: the overlay gets private copies of the *structure* (edges and
-thread links — plain pointer maps) but shares the :class:`Task` objects with
-the base graph.  Shared tasks carry a write barrier (see
-``Task.__setattr__``): the first attribute write to a shared task makes the
-base graph swap in a pristine clone of it (keeping cached simulation results
-consistent via swap listeners), so only *mutated* tasks are ever
-materialized.  Removing tasks or rewiring edges in the overlay touches only
-the overlay's private structure and materializes nothing.
+:meth:`DependencyGraph.overlay` opens a transaction for one what-if
+question: ``with graph.overlay() as g:`` hands back the graph itself, to be
+transformed and simulated in place.  While it is open, every structural
+mutation records what it changed in the graph's undo journal, and every
+field write to a task of the graph records the field's prior value
+(through the write stamp ``Task.__setattr__`` consults — see
+:class:`_WriteStamp`).  Closing the transaction, also when its body
+raises, replays the journal in reverse: thread order, edge sets, unordered
+flags, task fields, the mutation generation and the cached compiled
+lowering come back exactly as they were.  Nothing is cloned, so a question
+costs what its transform touches.
+
+The journal is one flat list per graph.  Each record is its fields
+followed by its kind, so the rollback pops records off the end without
+allocating one tuple per record while the transaction is open.
 """
 
 import gc
 import weakref
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.common.errors import GraphConsistencyError
 from repro.core.task import Task
 from repro.tracing.records import ExecutionThread
+
+# undo-journal record kinds; a record is its fields, then its kind
+_LINKED = 0        # task, thread: append / insert_*
+_REMOVED = 1       # task, thread, prev, next, succs, preds (rewired edges
+                   # follow as _EDGE_ADDED records)
+_EDGE_ADDED = 2    # src, dst
+_EDGE_REMOVED = 3  # src, dst
+_UNORDERED = 4     # thread
+_FIELD = 5         # task, field name, prior value (or _MISSING)
+
+#: prior value of a field the task did not have
+_MISSING = object()
+
+
+class _WriteStamp:
+    """The write barrier a lowering pass leaves on each task of a graph.
+
+    ``Task.__setattr__`` calls :meth:`written` before an in-place field
+    write lands on a stamped task.  That bumps the owning graph's mutation
+    generation, so its cached ``CompiledGraph`` is rebuilt.  Outside a
+    transaction the stamp then comes off (later writes cost nothing until
+    the next lowering); inside one it stays, and every write journals the
+    field's prior value.  One shared stamp per lowering keeps the lowering
+    pass to a single dict write per task.
+    """
+
+    __slots__ = ("_graph_ref",)
+
+    def __init__(self, graph: "DependencyGraph") -> None:
+        self._graph_ref = weakref.ref(graph)
+
+    def written(self, task: Task, name: str) -> None:
+        fields = task.__dict__
+        graph = self._graph_ref()
+        journal = None if graph is None else graph._journal
+        if journal is None:
+            del fields["_sim_stamp"]
+        else:
+            journal.extend((task, name, fields.get(name, _MISSING), _FIELD))
+        if graph is not None:
+            graph._generation += 1
 
 
 class DependencyGraph:
@@ -66,16 +114,13 @@ class DependencyGraph:
         self._tails: Dict[ExecutionThread, Task] = {}
         self._counts: Dict[ExecutionThread, int] = {}
         self._unordered: Set[ExecutionThread] = set()
-        # copy-on-write bookkeeping
-        self._overlays: List["weakref.ref[DependencyGraph]"] = []
-        self._swap_listeners: List[Callable[[Task, Task], None]] = []
-        self._cow_base: Optional["DependencyGraph"] = None
-        self._shared: Set[Task] = set()
         # compiled-lowering cache (see repro.core.compiled): _generation
         # counts mutations; the cached CompiledGraph is valid only while
         # its captured generation matches
         self._generation: int = 0
         self._compiled = None
+        # undo journal of the open what-if transaction (see overlay())
+        self._journal: Optional[list] = None
 
     # -------------------------------------------------------------- ordering
 
@@ -88,6 +133,8 @@ class DependencyGraph:
         *scheduler* decides ordering — which is exactly how P3's priority
         rescheduling works (paper Section 4.4, Schedule).
         """
+        if self._journal is not None and thread not in self._unordered:
+            self._journal.extend((thread, _UNORDERED))
         self._unordered.add(thread)
         self._generation += 1
 
@@ -167,22 +214,8 @@ class DependencyGraph:
 
     def append(self, task: Task) -> Task:
         """Append a task at the end of its thread's order.  O(1)."""
-        if task in self._succ:
-            raise GraphConsistencyError(f"task already in graph: {task!r}")
-        self._generation += 1
         thread = task.thread
-        tail = self._tails.get(thread)
-        self._prev[task] = tail
-        self._next[task] = None
-        if tail is None:
-            self._heads[thread] = task
-            self._counts[thread] = 1
-        else:
-            self._next[tail] = task
-            self._counts[thread] += 1
-        self._tails[thread] = task
-        self._succ[task] = set()
-        self._pred[task] = set()
+        self._insert(task, thread, self._tails.get(thread), None)
         return task
 
     def insert_after(self, anchor: Task, task: Task) -> Task:
@@ -192,44 +225,29 @@ class DependencyGraph:
         primitive inserts into an execution thread's linked list).  O(1).
         """
         self._require(anchor)
-        if task in self._succ:
-            raise GraphConsistencyError(f"task already in graph: {task!r}")
-        self._generation += 1
         thread = anchor.thread
-        task.thread = thread
-        nxt = self._next[anchor]
-        self._prev[task] = anchor
-        self._next[task] = nxt
-        self._next[anchor] = task
-        if nxt is None:
-            self._tails[thread] = task
-        else:
-            self._prev[nxt] = task
-        self._counts[thread] += 1
-        self._succ[task] = set()
-        self._pred[task] = set()
+        self._insert(task, thread, anchor, self._next[anchor])
         return task
 
     def insert_before(self, anchor: Task, task: Task) -> Task:
         """Insert ``task`` right before ``anchor`` in thread order.  O(1)."""
         self._require(anchor)
+        thread = anchor.thread
+        self._insert(task, thread, self._prev[anchor], anchor)
+        return task
+
+    def _insert(self, task: Task, thread: ExecutionThread,
+                prv: Optional[Task], nxt: Optional[Task]) -> None:
         if task in self._succ:
             raise GraphConsistencyError(f"task already in graph: {task!r}")
+        if task.thread != thread:
+            task.thread = thread
         self._generation += 1
-        thread = anchor.thread
-        task.thread = thread
-        prv = self._prev[anchor]
-        self._next[task] = anchor
-        self._prev[task] = prv
-        self._prev[anchor] = task
-        if prv is None:
-            self._heads[thread] = task
-        else:
-            self._next[prv] = task
-        self._counts[thread] += 1
+        self._link(task, thread, prv, nxt)
         self._succ[task] = set()
         self._pred[task] = set()
-        return task
+        if self._journal is not None:
+            self._journal.extend((task, thread, _LINKED))
 
     def remove(self, task: Task, rewire: bool = True) -> None:
         """Remove a task.  O(1) splice plus optional O(preds x succs) rewire.
@@ -248,34 +266,55 @@ class DependencyGraph:
             self._succ[p].discard(task)
         for s in succs:
             self._pred[s].discard(task)
+        thread = task.thread
+        prv, nxt = self._unlink(task, thread)
+        journal = self._journal
+        if journal is not None:
+            journal.extend((task, thread, prv, nxt, succs, preds, _REMOVED))
         if rewire:
             for p in preds:
                 succ_p = self._succ[p]
                 for s in succs:
-                    if p is not s:
+                    if p is not s and s not in succ_p:
                         succ_p.add(s)
                         self._pred[s].add(p)
-        thread = task.thread
+                        if journal is not None:
+                            journal.extend((p, s, _EDGE_ADDED))
+
+    def _link(self, task: Task, thread: ExecutionThread,
+              prv: Optional[Task], nxt: Optional[Task]) -> None:
+        """Splice ``task`` between adjacent ``prv`` and ``nxt`` on a thread."""
+        self._prev[task] = prv
+        self._next[task] = nxt
+        if prv is None:
+            self._heads[thread] = task
+        else:
+            self._next[prv] = task
+        if nxt is None:
+            self._tails[thread] = task
+        else:
+            self._prev[nxt] = task
+        self._counts[thread] = self._counts.get(thread, 0) + 1
+
+    def _unlink(self, task: Task, thread: ExecutionThread):
+        """Splice ``task`` out of its thread; returns its old neighbors."""
         prv = self._prev.pop(task)
         nxt = self._next.pop(task)
+        if prv is None and nxt is None:
+            del self._heads[thread]
+            del self._tails[thread]
+            del self._counts[thread]
+            return prv, nxt
         if prv is None:
-            if nxt is None:
-                del self._heads[thread]
-                del self._tails[thread]
-                del self._counts[thread]
-            else:
-                self._heads[thread] = nxt
-                self._prev[nxt] = None
-                self._counts[thread] -= 1
+            self._heads[thread] = nxt
         else:
             self._next[prv] = nxt
-            if nxt is None:
-                self._tails[thread] = prv
-            else:
-                self._prev[nxt] = prv
-            self._counts[thread] -= 1
-        if self._cow_base is not None:
-            self._shared.discard(task)
+        if nxt is None:
+            self._tails[thread] = prv
+        else:
+            self._prev[nxt] = prv
+        self._counts[thread] -= 1
+        return prv, nxt
 
     def add_dependency(self, src: Task, dst: Task) -> None:
         """Add an explicit edge ``src -> dst``.  O(1)."""
@@ -284,7 +323,10 @@ class DependencyGraph:
         if src is dst:
             raise GraphConsistencyError(f"self-dependency on {src!r}")
         self._generation += 1
-        self._succ[src].add(dst)
+        succ_src = self._succ[src]
+        if self._journal is not None and dst not in succ_src:
+            self._journal.extend((src, dst, _EDGE_ADDED))
+        succ_src.add(dst)
         self._pred[dst].add(src)
 
     def remove_dependency(self, src: Task, dst: Task) -> None:
@@ -292,7 +334,10 @@ class DependencyGraph:
         self._require(src)
         self._require(dst)
         self._generation += 1
-        self._succ[src].discard(dst)
+        succ_src = self._succ[src]
+        if self._journal is not None and dst in succ_src:
+            self._journal.extend((src, dst, _EDGE_REMOVED))
+        succ_src.discard(dst)
         self._pred[dst].discard(src)
 
     # ------------------------------------------------------------- validation
@@ -388,7 +433,7 @@ class DependencyGraph:
         Optimization models transform a copy so the baseline graph can be
         reused for many what-if questions (paper Section 7.1: profile once,
         ask many questions).  For the common transform-and-simulate path
-        prefer :meth:`overlay`, which skips cloning unmutated tasks.
+        prefer :meth:`overlay`, which transforms in place and rolls back.
         """
         # everything allocated here stays live; pause the collector so the
         # allocation burst doesn't trigger full scans mid-copy
@@ -419,7 +464,6 @@ class DependencyGraph:
                 clone = new(Task)
                 cd = clone.__dict__
                 cd.update(task.__dict__)
-                cd.pop("_cow_base", None)
                 cd.pop("_sim_stamp", None)
                 cd["metadata"] = dict(cd["metadata"])
                 clone_of[task] = clone
@@ -472,161 +516,85 @@ class DependencyGraph:
                     del metadata[key]
         return out
 
-    # ------------------------------------------------------------ copy-on-write
+    # ---------------------------------------------------- what-if transactions
 
-    def overlay(self) -> "DependencyGraph":
-        """Build a copy-on-write view of this graph.
+    @contextmanager
+    def overlay(self) -> Iterator["DependencyGraph"]:
+        """Open a journaled what-if transaction on this graph.
 
-        The overlay owns private structure (edges, thread links) but shares
-        task objects with this graph until they are written; the first
-        attribute write to a shared task materializes it (this graph swaps in
-        a pristine clone and keeps the mutated original for the overlay).
-        Mutating the overlay never changes what this graph's tasks look like.
+        Use as ``with graph.overlay() as g:`` — ``g`` is this graph, to be
+        transformed and simulated in place.  On exit, also when the body
+        raises, every mutation made inside is undone (see the module
+        docstring).  Opening lowers the graph first when its cached
+        lowering is stale, so every task carries the write stamp that
+        journals its field writes; with a warm lowering it is O(1).
 
-        Overlays do not nest; asking an overlay for an overlay falls back to
-        a full :meth:`copy`.
+        Transactions do not nest: opening a second one on the same graph
+        while the first is open raises :class:`GraphConsistencyError`.
+        ``simulate`` inside a transaction never caches its lowering on the
+        graph.
         """
-        if self._cow_base is not None:
-            return self.copy()
-        self._quiesce_overlays()
-        out = DependencyGraph()
-        out._unordered = set(self._unordered)
-        out._succ = {t: set(s) for t, s in self._succ.items()}
-        out._pred = {t: set(s) for t, s in self._pred.items()}
-        out._next = dict(self._next)
-        out._prev = dict(self._prev)
-        out._heads = dict(self._heads)
-        out._tails = dict(self._tails)
-        out._counts = dict(self._counts)
-        out._cow_base = self
-        out._shared = set(self._succ)
-        for task in self._succ:
-            task.__dict__["_cow_base"] = self
-        self._overlays.append(weakref.ref(out))
-        return out
+        from repro.core.compiled import compiled_for
 
-    def add_swap_listener(self, listener: Callable[[Task, Task], None]) -> None:
-        """Register ``listener(old, new)`` for copy-on-write task swaps.
+        if self._journal is not None:
+            raise GraphConsistencyError(
+                "a what-if transaction is already open on this graph")
+        compiled = compiled_for(self)  # stamps every task
+        generation = self._generation
+        self._journal = journal = []
+        try:
+            yield self
+        finally:
+            self._journal = None
+            self._rollback(journal)
+            self._generation = generation
+            self._compiled = compiled
 
-        Holders of task-keyed caches (e.g. a cached baseline
-        ``SimulationResult``) use this to re-key when the base graph swaps a
-        written-to shared task for its pristine clone.
-        """
-        self._swap_listeners.append(listener)
+    def _rollback(self, journal: list) -> None:
+        """Undo ``journal``'s records, newest first, emptying it."""
+        succ = self._succ
+        pred = self._pred
+        pop = journal.pop
+        while journal:
+            kind = pop()
+            if kind == _FIELD:
+                old = pop()
+                name = pop()
+                fields = pop().__dict__
+                if old is _MISSING:
+                    fields.pop(name, None)
+                else:
+                    fields[name] = old
+            elif kind == _REMOVED:
+                preds = pop()
+                succs = pop()
+                nxt = pop()
+                prv = pop()
+                thread = pop()
+                task = pop()
+                self._link(task, thread, prv, nxt)
+                succ[task] = succs
+                pred[task] = preds
+                for p in preds:
+                    succ[p].add(task)
+                for s in succs:
+                    pred[s].add(task)
+            elif kind == _LINKED:
+                thread = pop()
+                task = pop()
+                del succ[task]
+                del pred[task]
+                self._unlink(task, thread)
+            elif kind == _EDGE_ADDED:
+                dst = pop()
+                src = pop()
+                succ[src].discard(dst)
+                pred[dst].discard(src)
+            elif kind == _EDGE_REMOVED:
+                dst = pop()
+                src = pop()
+                succ[src].add(dst)
+                pred[dst].add(src)
+            else:
+                self._unordered.discard(pop())
 
-    def _live_overlays(self) -> List["DependencyGraph"]:
-        alive: List[DependencyGraph] = []
-        refs: List[weakref.ref] = []
-        for ref in self._overlays:
-            overlay = ref()
-            if overlay is not None:
-                alive.append(overlay)
-                refs.append(ref)
-        self._overlays = refs
-        return alive
-
-    def _cow_task_written(self, task: Task) -> None:
-        """Write-barrier hook: a shared task is about to be mutated.
-
-        Called by ``Task.__setattr__`` *before* the write lands, so the
-        task's current state is still pristine.  The base keeps a pristine
-        clone; the (single active) overlay keeps the original, which the
-        writer is holding a reference to.
-        """
-        task.__dict__.pop("_cow_base", None)
-        # the write invalidates any compiled lowering holding this task —
-        # ours, and any live overlay's (the overlay keeps the written-to
-        # object; its write stamp may have been overwritten by a later
-        # base lowering, so bump the overlays explicitly)
-        self._generation += 1
-        overlays = self._live_overlays()
-        for overlay in overlays:
-            overlay._generation += 1
-        if task not in self._succ:
-            return
-        if not overlays:
-            return  # no overlay alive: a direct base write mutates in place
-        self._materialize_in_base(self._metadata_group(task), overlays)
-
-    def _metadata_group(self, task: Task) -> List[Task]:
-        """``task`` plus tasks transitively linked via task-valued metadata.
-
-        Launch APIs and their kernels reference each other through
-        ``launches``/``launched_by`` metadata; swapping one without the other
-        would leave the base pointing at an overlay-owned task.
-        """
-        group = [task]
-        seen = {task}
-        queue = [task]
-        while queue:
-            for value in queue.pop().metadata.values():
-                if (isinstance(value, Task) and value not in seen
-                        and value in self._succ):
-                    seen.add(value)
-                    group.append(value)
-                    queue.append(value)
-        return group
-
-    def _materialize_in_base(self, group: List[Task],
-                             overlays: List["DependencyGraph"]) -> None:
-        clone_of: Dict[Task, Task] = {}
-        for member in group:
-            member.__dict__.pop("_cow_base", None)
-            clone = member.clone()
-            clone_of[member] = clone
-            for overlay in overlays:
-                overlay._shared.discard(member)
-        for member, clone in clone_of.items():
-            self._swap_task(member, clone)
-            metadata = clone.metadata
-            for key, value in metadata.items():
-                if isinstance(value, Task) and value in clone_of:
-                    metadata[key] = clone_of[value]
-
-    def _swap_task(self, old: Task, new: Task) -> None:
-        """Replace ``old`` with ``new`` in place (same edges, same position)."""
-        self._generation += 1
-        succs = self._succ.pop(old)
-        preds = self._pred.pop(old)
-        self._succ[new] = succs
-        self._pred[new] = preds
-        for s in succs:
-            pred_s = self._pred[s]
-            pred_s.discard(old)
-            pred_s.add(new)
-        for p in preds:
-            succ_p = self._succ[p]
-            succ_p.discard(old)
-            succ_p.add(new)
-        thread = new.thread
-        prv = self._prev.pop(old)
-        nxt = self._next.pop(old)
-        self._prev[new] = prv
-        self._next[new] = nxt
-        if prv is None:
-            self._heads[thread] = new
-        else:
-            self._next[prv] = new
-        if nxt is None:
-            self._tails[thread] = new
-        else:
-            self._prev[nxt] = new
-        for listener in self._swap_listeners:
-            listener(old, new)
-
-    def _quiesce_overlays(self) -> None:
-        """Detach still-live overlays before handing out a new one.
-
-        A retained overlay (e.g. the graph returned by
-        ``predict_simulation``) may still share tasks with the base; give the
-        base pristine clones of everything still shared so the old overlay
-        can keep mutating its tasks without write barriers.
-        """
-        for overlay in self._live_overlays():
-            if not overlay._shared:
-                continue
-            group = [t for t in overlay._shared if t in self._succ]
-            overlay._shared.clear()
-            if group:
-                self._materialize_in_base(group, [])
-        self._overlays = []

@@ -75,34 +75,28 @@ class Task:
             raise ConfigError(f"task {self.name!r} has negative gap")
 
     def __setattr__(self, name: str, value: object) -> None:
-        # Copy-on-write write barrier: while a task is shared between a base
-        # graph and an overlay (graph.overlay()), the base stashes itself
-        # under ``_cow_base``; the first attribute write materializes a
-        # pristine clone in the base before the mutation lands here.
-        base = self.__dict__.get("_cow_base")
-        if base is not None:
-            base._cow_task_written(self)
-        # Compiled-lowering write barrier: a lowering pass (see
-        # repro.core.compiled) stamps every task it captured; the first
-        # in-place write pops the stamp and bumps the owning graph's
-        # mutation generation so the cached CompiledGraph is rebuilt.
-        stamp = self.__dict__.pop("_sim_stamp", None)
+        # Write barrier: lowering a graph (repro.core.compiled) stamps each
+        # task with a write stamp, consulted *before* the write lands.  It
+        # bumps the graph's mutation generation, so the cached lowering is
+        # rebuilt.  Outside a what-if transaction the first write also
+        # drops the stamp; inside one (DependencyGraph.overlay) every write
+        # journals the field's prior value for the rollback.
+        stamp = self.__dict__.get("_sim_stamp")
         if stamp is not None:
-            stamp.bump()
+            stamp.written(self, name)
         object.__setattr__(self, name, value)
 
     def clone(self) -> "Task":
         """A fast field-for-field clone (fresh identity, own metadata dict).
 
         Bypasses dataclass ``__init__`` — the source task already satisfies
-        the constructor invariants — and never carries over copy-on-write
-        seals.  Task-valued metadata still references the *original* linked
+        the constructor invariants — and never carries over the write
+        stamp.  Task-valued metadata still references the *original* linked
         tasks; graph-level cloning remaps those.
         """
         out = object.__new__(Task)
         d = out.__dict__
         d.update(self.__dict__)
-        d.pop("_cow_base", None)
         d.pop("_sim_stamp", None)
         d["metadata"] = dict(self.metadata)
         return out

@@ -256,11 +256,11 @@ class ScenarioRunner:
         both substrates, both start methods, and serial :meth:`run` calls.
 
         On both substrates the per-workload session cache also shares the
-        compiled simulation baseline (`repro.core.compiled`): once a
-        workload's graph goes hot its lowering is reused by every scenario
-        of that workload (and by every chunk a pool worker runs), with the
-        copy-on-write barrier invalidating it on mutation — engine
-        selection never changes results.
+        compiled simulation baseline (`repro.core.compiled`): a workload's
+        lowering is built by its first simulate and reused by every
+        scenario of that workload (and by every chunk a pool worker runs);
+        each question transforms the graph inside a journaled transaction
+        that hands the lowering back unchanged on exit.
         """
         if parallel is not None or store is not None:
             from repro.scenarios.batch import run_batch

@@ -5,8 +5,8 @@ Covers the contracts :mod:`repro.core.compiled` documents:
 * stable ordinals are a pure function of graph data (thread-major);
 * the compiled lowering is cached per graph generation and invalidated by
   every mutation class — structural splices, edge changes, thread order
-  flags, copy-on-write swaps, and in-place task field writes (through the
-  write stamp);
+  flags, and in-place task field writes (through the write stamp) — and
+  a what-if transaction hands the base lowering back on exit;
 * ``simulate_many`` answers a shared-baseline cell grid bit-identically
   to mutating and simulating each cell's graph from scratch;
 * the satellites: ``_simulate_reference`` scrubs ``_ready_us`` on failure,
@@ -137,16 +137,20 @@ class TestCompiledCache:
         assert compiled_for(g).run().start_us == simulate(g).start_us
 
     def test_overlay_write_invalidates_base_and_overlay(self):
+        """A write inside a transaction makes the base lowering stale for
+        the transacted graph; closing it hands the base lowering back."""
         g = small_graph()
-        overlay = g.overlay()
         base_compiled = compiled_for(g)
-        overlay_compiled = compiled_for(overlay)
-        overlay.tasks()[1].duration = 42.0  # COW write through the barrier
-        assert compiled_for(g) is not base_compiled
-        assert compiled_for(overlay) is not overlay_compiled
+        pristine = simulate(g).makespan_us
+        with g.overlay() as working:
+            working.tasks()[1].duration = 42.0  # journaled through the stamp
+            in_flight = compiled_for(working)
+            assert in_flight is not base_compiled
+            assert in_flight.run().start_us == simulate(working).start_us
+            assert in_flight.run().makespan_us != pristine
+        assert compiled_for(g) is base_compiled
+        assert compiled_for(g).run().makespan_us == pristine
         assert compiled_for(g).run().start_us == simulate(g).start_us
-        assert (compiled_for(overlay).run().start_us
-                == simulate(overlay).start_us)
 
     def test_lazy_predecessor_csr_transposes_successors(self):
         g = small_graph()

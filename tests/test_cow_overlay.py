@@ -1,19 +1,34 @@
-"""Copy-on-write overlay semantics: base graphs stay pristine.
+"""What-if transactions: the base graph is transformed in place, then rolled back.
 
-``DependencyGraph.overlay()`` shares task objects with the base until they
-are written; these tests pin down the isolation contract the what-if
-session relies on (paper Section 7.1: one profile, many questions).
+``with graph.overlay() as g:`` opens a journaled transaction on the graph
+itself (the file keeps its name from the copy-on-write overlay this
+replaced).  These tests pin the contract the what-if session relies on
+(paper Section 7.1: one profile, many questions):
+
+* inside, ``simulate`` sees the transformed graph, bit-identical to
+  transforming a deep copy, on the patched base lowering (field writes
+  only) or a fresh uncached lowering (structural changes);
+* on exit — also when the body raises — thread order, edge sets, task
+  fields, the mutation generation and the cached lowering are exactly the
+  ones from before;
+* sessions built on it do not leak, keep their task references valid, and
+  stay independent across threads.
 """
 
+import gc
 import multiprocessing
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import make_tiny_model
+from test_simulator_equivalence import naive_simulate, random_graph
 
 from repro.analysis.session import WhatIfSession
+from repro.common.errors import GraphConsistencyError
+from repro.core.compiled import CellDelta, CompiledGraph, compiled_for, simulate_many
 from repro.core.graph import DependencyGraph
-from repro.core.simulate import simulate
+from repro.core.simulate import make_priority_scheduler, simulate
 from repro.core.task import Task, TaskKind
 from repro.framework.config import TrainingConfig
 from repro.framework.engine import Engine
@@ -25,7 +40,8 @@ from repro.optimizations import (
     DistributedTraining,
     FusedAdam,
 )
-from repro.tracing.records import cpu_thread, gpu_stream
+from repro.optimizations.base import OptimizationModel
+from repro.tracing.records import comm_channel, cpu_thread, gpu_stream
 
 
 def make_task(name, thread=None, duration=1.0):
@@ -39,82 +55,274 @@ def tiny_graph(tiny_trace):
     return build_graph(tiny_trace)
 
 
-class TestOverlayIsolation:
-    def test_overlay_shares_until_written(self):
-        g = DependencyGraph()
-        a = g.append(make_task("a", duration=3.0))
-        overlay = g.overlay()
-        assert overlay.tasks()[0] is a  # shared, not cloned
-        overlay.tasks()[0].duration = 99.0
-        # the write materialized a pristine clone in the base
-        (base_a,) = g.tasks()
-        assert base_a is not a
-        assert base_a.duration == 3.0
-        assert a.duration == 99.0
-        assert overlay.tasks()[0] is a
+def snapshot(graph):
+    """Everything a rollback must restore, compared by identity/value."""
+    return {
+        "order": {t: graph.tasks_on(t) for t in graph.threads()},
+        "succ": {t: set(s) for t, s in graph._succ.items()},
+        "pred": {t: set(p) for t, p in graph._pred.items()},
+        "unordered": set(graph._unordered),
+        "fields": {t: dict(t.__dict__) for t in graph.tasks()},
+        "generation": graph._generation,
+        "compiled": graph._compiled,
+    }
 
+
+def assert_restored(graph, before):
+    after = snapshot(graph)
+    for key in ("order", "succ", "pred", "unordered", "fields",
+                "generation"):
+        assert after[key] == before[key], key
+    assert after["compiled"] is before["compiled"]
+    graph.validate()
+
+
+class TestOverlayIsolation:
     def test_structural_mutation_never_touches_base(self):
         g = DependencyGraph()
         a = g.append(make_task("a"))
         b = g.append(make_task("b", thread=gpu_stream(0)))
         g.add_dependency(a, b)
-        overlay = g.overlay()
-        overlay.remove(b)
-        overlay.insert_after(a, make_task("x"))
-        overlay.add_dependency(overlay.tasks()[0], overlay.tasks()[1])
+        with g.overlay() as working:
+            assert working is g
+            working.remove(b)
+            working.insert_after(a, make_task("x"))
+            working.add_dependency(working.tasks()[0], working.tasks()[1])
+            working.validate()
         assert len(g) == 2
         assert b in g
         assert g.successors(a) == {b}
+        assert g.tasks() == [a, b]
         g.validate()
-        overlay.validate()
-
-    def test_launch_kernel_metadata_group_swaps_together(self, tiny_graph):
-        overlay = tiny_graph.overlay()
-        kernel = next(t for t in overlay.tasks()
-                      if isinstance(t.metadata.get("launched_by"), Task))
-        launch = kernel.metadata["launched_by"]
-        kernel.duration = kernel.duration * 2  # materializes the pair
-        base_kernels = [t for t in tiny_graph.tasks()
-                        if t.name == kernel.name
-                        and t.correlation_id == kernel.correlation_id]
-        assert base_kernels and all(t is not kernel for t in base_kernels)
-        base_kernel = base_kernels[0]
-        base_launch = base_kernel.metadata["launched_by"]
-        assert base_launch is not launch
-        assert base_launch.metadata["launches"] is base_kernel
-        assert launch.metadata["launches"] is kernel
-        tiny_graph.validate()
 
     def test_base_resimulates_identically_after_heavy_overlay_mutation(
             self, tiny_graph):
         baseline = simulate(tiny_graph).makespan_us
-        overlay = tiny_graph.overlay()
-        for task in overlay.select(lambda t: t.is_gpu):
-            task.scale_duration(0.25)
-        for task in list(overlay.iter_tasks_on(cpu_thread(0)))[::3]:
-            overlay.remove(task)
+        with tiny_graph.overlay() as working:
+            for task in working.select(lambda t: t.is_gpu):
+                task.scale_duration(0.25)
+            for task in list(working.iter_tasks_on(cpu_thread(0)))[::3]:
+                working.remove(task)
+            assert simulate(working).makespan_us != baseline
         assert simulate(tiny_graph).makespan_us == baseline
         tiny_graph.validate()
 
-    def test_retained_overlay_survives_new_overlay(self, tiny_graph):
-        first = tiny_graph.overlay()
-        for task in first.select(lambda t: t.is_gpu):
-            task.scale_duration(0.5)
-        first_makespan = simulate(first).makespan_us
-        second = tiny_graph.overlay()  # quiesces `first`
-        for task in second.select(lambda t: t.is_gpu):
-            task.scale_duration(2.0)
-        assert simulate(first).makespan_us == first_makespan
-        first.validate()
-        second.validate()
-        tiny_graph.validate()
+    def test_retained_overlay_survives_new_overlay(self, tiny_trace):
+        """A ``predict_simulation`` graph is the caller's own deep copy:
+        later questions on the session never reach it."""
+        session = WhatIfSession.from_trace(tiny_trace)
+        graph, result = session.predict_simulation(AutomaticMixedPrecision())
+        retained = simulate(graph).makespan_us
+        assert retained == result.makespan_us
+        assert not set(graph.tasks()) & set(session.graph.tasks())
+        session.predict(FusedAdam())
+        session.predict(AutomaticMixedPrecision())
+        assert simulate(graph).makespan_us == retained
+        graph.validate()
+        session.graph.validate()
 
-    def test_overlay_of_overlay_falls_back_to_copy(self, tiny_graph):
-        overlay = tiny_graph.overlay()
-        nested = overlay.overlay()
-        nested_tasks = nested.tasks()
-        assert all(a is not b for a, b in zip(nested_tasks, overlay.tasks()))
-        nested.validate()
+
+class TestJournal:
+    def test_transaction_is_the_graph_and_does_not_nest(self, tiny_graph):
+        with tiny_graph.overlay() as working:
+            assert working is tiny_graph
+            with pytest.raises(GraphConsistencyError):
+                with tiny_graph.overlay():
+                    pass
+        with tiny_graph.overlay():  # closed: a new one opens
+            pass
+
+    def test_exit_restores_structure_fields_generation_and_lowering(
+            self, tiny_graph):
+        simulate(tiny_graph)
+        before = snapshot(tiny_graph)
+        kernel = next(t for t in tiny_graph.tasks() if t.is_gpu)
+        with tiny_graph.overlay() as working:
+            kernel.duration = 1.0
+            kernel.duration = 2.0  # every write inside is journaled
+            kernel.priority = 3
+            working.remove(working.tasks()[0], rewire=False)
+            working.mark_unordered(gpu_stream(0))
+            working.append(make_task("late", thread=comm_channel(3)))
+        assert_restored(tiny_graph, before)
+        assert "_sim_stamp" in kernel.__dict__  # barrier re-armed
+
+    def test_rollback_on_exception(self, tiny_graph):
+        simulate(tiny_graph)
+        before = snapshot(tiny_graph)
+        with pytest.raises(RuntimeError, match="boom"):
+            with tiny_graph.overlay() as working:
+                for task in working.select(lambda t: t.is_gpu):
+                    task.duration = 0.0
+                working.remove(working.tasks()[3])
+                raise RuntimeError("boom")
+        assert_restored(tiny_graph, before)
+
+    def test_field_writes_patch_the_base_lowering(self, tiny_graph,
+                                                 monkeypatch):
+        base = compiled_for(tiny_graph)
+        reference = tiny_graph.copy()
+        for task in reference.select(lambda t: t.is_gpu):
+            task.scale_duration(0.5)
+        builds = []
+        original = CompiledGraph.build.__func__
+        monkeypatch.setattr(CompiledGraph, "build", classmethod(
+            lambda cls, graph: builds.append(graph) or original(cls, graph)))
+        with tiny_graph.overlay() as working:
+            for task in working.select(lambda t: t.is_gpu):
+                task.scale_duration(0.5)
+            result = simulate(working)
+        assert builds == []  # no lowering: the base columns were patched
+        expected = simulate(reference)
+        assert result.makespan_us == expected.makespan_us
+        assert list(result.start_us.values()) == \
+            list(expected.start_us.values())
+        assert tiny_graph._compiled is base
+
+    def test_write_to_a_detached_task_is_journaled_not_simulated(
+            self, tiny_graph):
+        compiled_for(tiny_graph)
+        detached = tiny_graph.tasks()[-1]
+        tiny_graph.remove(detached)  # keeps the old lowering's stamp
+        expected = simulate(tiny_graph).makespan_us
+        duration = detached.duration
+        with tiny_graph.overlay():
+            detached.duration = duration + 100.0
+            assert simulate(tiny_graph).makespan_us == expected
+        assert detached.duration == duration
+
+    def test_structural_change_relowers_without_caching(self, tiny_graph):
+        base = compiled_for(tiny_graph)
+        with tiny_graph.overlay() as working:
+            working.remove(working.tasks()[0])
+            first = simulate(working)
+            assert working._compiled is base  # nothing cached in flight
+            assert compiled_for(working) is not base
+            assert simulate(working).start_us == first.start_us
+        assert tiny_graph._compiled is base
+        assert compiled_for(tiny_graph) is base
+
+
+THREADS = (cpu_thread(0), gpu_stream(0), gpu_stream(1), comm_channel(0))
+
+_index = st.integers(min_value=0, max_value=10_000)
+_value = st.floats(min_value=0.0, max_value=10.0)
+_write = st.tuples(st.sampled_from(["duration", "gap", "priority"]), _index,
+                   _value)
+_op = st.one_of(
+    _write,
+    st.tuples(st.just("append"), st.sampled_from(range(len(THREADS))),
+              _value),
+    st.tuples(st.sampled_from(["insert_after", "insert_before"]), _index,
+              _value),
+    st.tuples(st.just("remove"), _index, st.booleans()),
+    st.tuples(st.sampled_from(["add_edge", "remove_edge"]), _index, _index),
+    st.tuples(st.just("unordered"), st.sampled_from(range(len(THREADS))),
+              _value),
+)
+#: a field-writes-only script takes the column-patch path; a mixed one
+#: relowers
+_script = st.one_of(st.lists(_write, max_size=12),
+                    st.lists(_op, max_size=12))
+
+
+def _reaches(graph, src, dst):
+    """Whether ``dst`` is reachable from ``src`` (edges + thread order)."""
+    seen, stack = set(), [src]
+    while stack:
+        task = stack.pop()
+        if task is dst:
+            return True
+        if task in seen:
+            continue
+        seen.add(task)
+        stack.extend(graph.successors(task))
+        if graph.is_ordered(task.thread):
+            nxt = graph.thread_successor(task)
+            if nxt is not None:
+                stack.append(nxt)
+    return False
+
+
+def run_script(graph, script):
+    """Apply a drawn mutation script; tasks are picked by position, so the
+    same script does the same thing to a graph and to its deep copy."""
+    for step, (op, a, b) in enumerate(script):
+        tasks = graph.tasks()
+        if op == "append":
+            graph.append(Task(name=f"new{step}", kind=TaskKind.CPU,
+                              thread=THREADS[a], duration=b))
+            continue
+        if op == "unordered":
+            graph.mark_unordered(THREADS[a])
+            continue
+        if not tasks:
+            continue
+        task = tasks[a % len(tasks)]
+        if op in ("duration", "gap"):
+            setattr(task, op, b)
+        elif op == "priority":
+            task.priority = int(b)
+        elif op == "insert_after":
+            graph.insert_after(task, Task(name=f"new{step}", kind=TaskKind.CPU,
+                                          thread=task.thread, duration=b))
+        elif op == "insert_before":
+            graph.insert_before(task, Task(name=f"new{step}",
+                                           kind=TaskKind.CPU,
+                                           thread=task.thread, duration=b))
+        elif op == "remove":
+            graph.remove(task, rewire=b)
+        else:
+            other = tasks[b % len(tasks)]
+            if op == "remove_edge":
+                graph.remove_dependency(task, other)
+            elif (task.thread != other.thread
+                    and not _reaches(graph, other, task)):
+                graph.add_dependency(task, other)
+
+
+def _prioritized(task):
+    return task.is_comm
+
+
+def _assert_matches_reference(graph, reference):
+    """``graph`` simulates like the naive engine on ``reference``, task for
+    task by thread-major position, under both schedules."""
+    ours, theirs = graph.tasks(), reference.tasks()
+    assert len(ours) == len(theirs)
+    for result, (ref_start, ref_makespan) in (
+            (simulate(graph), naive_simulate(reference)),
+            (simulate(graph, make_priority_scheduler(_prioritized)),
+             naive_simulate(reference, key=lambda t: (
+                 -float(t.priority) if _prioritized(t) else 0.0)))):
+        assert result.makespan_us == ref_makespan
+        assert [result.start_us[t] for t in ours] == \
+            [ref_start[t] for t in theirs]
+
+
+class Abort(Exception):
+    pass
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_graph(), _script, st.integers(min_value=0, max_value=12))
+def test_transaction_matches_copy_and_rolls_back(g, script, abort_at):
+    simulate(g)  # warm base lowering
+    reference = g.copy()
+    before = snapshot(g)
+    with g.overlay() as working:
+        run_script(working, script)
+        run_script(reference, script)
+        working.validate()
+        _assert_matches_reference(working, reference)
+    assert_restored(g, before)
+
+    # the same holds when the script raises partway through
+    with pytest.raises(Abort):
+        with g.overlay() as working:
+            run_script(working, script[:abort_at])
+            raise Abort
+    assert_restored(g, before)
 
 
 class TestCowSession:
@@ -127,14 +335,15 @@ class TestCowSession:
     def test_predictions_match_deep_copy_sessions(self, session):
         cluster = ClusterSpec(2, 2, GPU_2080TI, NetworkSpec(bandwidth_gbps=10))
         reference = WhatIfSession.from_trace(session.trace, session.config)
-        reference.copy_on_write = False
         for optimization, cl in [(FusedAdam(), None),
                                  (AutomaticMixedPrecision(), None),
                                  (DistributedTraining(), cluster)]:
-            cow = session.predict(optimization, cluster=cl)
-            deep = reference.predict(optimization, cluster=cl)
-            assert cow.predicted_us == deep.predicted_us
-            assert cow.baseline_us == deep.baseline_us
+            journaled = session.predict(optimization, cluster=cl)
+            outcome = optimization.apply(reference.graph.copy(),
+                                         reference.context(cl))
+            deep = simulate(outcome.graph, outcome.scheduler)
+            assert journaled.predicted_us == deep.makespan_us
+            assert journaled.baseline_us == reference.baseline_us
 
     def test_baseline_and_breakdown_stable_across_questions(self, session):
         baseline = session.baseline_us
@@ -168,3 +377,79 @@ class TestCowSession:
             [p.predicted_us for p in serial]
         # forked workers never corrupt the parent's baseline
         assert simulate(session.graph).makespan_us == session.baseline_us
+
+    def test_warm_predicts_do_not_grow_the_heap(self, session):
+        questions = [AutomaticMixedPrecision(), FusedAdam()]
+        for question in questions:  # warm every lazily built cache
+            session.predict(question)
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(30):
+            session.predict(questions[i % 2])
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 5
+
+    def test_cell_delta_survives_predicts(self, session):
+        gpu = [t for t in session.graph.tasks() if t.is_gpu]
+        cell = CellDelta.scale_durations(gpu, 0.5, label="half")
+        (expected,) = session.simulate_many([cell])
+        for _ in range(3):
+            session.predict(AutomaticMixedPrecision())
+            session.predict(FusedAdam())
+        (again,) = session.simulate_many([cell])
+        (direct,) = simulate_many(session.compiled_baseline(), [cell])
+        assert again.makespan_us == expected.makespan_us
+        assert direct.makespan_us == expected.makespan_us
+
+    def test_raising_model_leaves_baseline_and_next_prediction(
+            self, session):
+        class Raising(OptimizationModel):
+            name = "raising"
+
+            def apply(self, graph, context):
+                for task in graph.select(lambda t: t.is_gpu):
+                    task.scale_duration(0.1)
+                graph.remove(graph.tasks()[0])
+                raise RuntimeError("model failed midway")
+
+        baseline = session.baseline_us
+        expected = session.predict(AutomaticMixedPrecision()).predicted_us
+        with pytest.raises(RuntimeError, match="midway"):
+            session.predict(Raising())
+        assert session.baseline_us == baseline
+        assert simulate(session.graph).makespan_us == baseline
+        assert (session.predict(AutomaticMixedPrecision()).predicted_us
+                == expected)
+        session.graph.validate()
+
+
+def test_concurrent_sessions_match_serial(tiny_trace):
+    cluster = ClusterSpec(2, 2, GPU_2080TI, NetworkSpec(bandwidth_gbps=10))
+    questions = [(AutomaticMixedPrecision(), None), (FusedAdam(), None),
+                 (DistributedTraining(), cluster)]
+    sessions = [WhatIfSession.from_trace(tiny_trace) for _ in range(2)]
+    serial = [[s.predict(q, cluster=c).predicted_us for q, c in questions]
+              for s in sessions]
+    barrier = threading.Barrier(len(sessions))
+    answers = [[] for _ in sessions]
+    errors = []
+
+    def worker(i):
+        try:
+            barrier.wait()
+            for _ in range(10):
+                answers[i].append([sessions[i].predict(q, cluster=c)
+                                   .predicted_us for q, c in questions])
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(sessions))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    for i, session in enumerate(sessions):
+        assert answers[i] == [serial[i]] * 10
+        session.graph.validate()

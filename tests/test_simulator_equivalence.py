@@ -1,9 +1,11 @@
-"""Property tests: the event-driven engine matches a naive reference.
+"""Property tests: the simulation engines match a naive reference.
 
-The heap engine in :mod:`repro.core.simulate` must be *behavior-identical*
-to Algorithm 1's frontier-scan formulation — same ``start_us`` for every
-task, same makespan — including on graphs with unordered communication
-channels (where dispatch order matters) and under P3's priority policy.
+The array engine behind :func:`repro.core.simulate.simulate` (and the
+retained frontier-scan engine for legacy callables) must be
+*behavior-identical* to Algorithm 1's frontier-scan formulation — same
+``start_us`` for every task, same makespan — including on graphs with
+unordered communication channels (where dispatch order matters) and under
+P3's priority policy.
 The reference implementation here is written independently against the
 public graph API, scanning the whole frontier every dispatch.
 """
@@ -160,7 +162,7 @@ def test_simulation_leaves_no_scratch_state(g):
 
 
 # ---------------------------------------------------------------------------
-# compiled array engine vs the object-graph engines
+# compiled array engine, lowered explicitly
 # ---------------------------------------------------------------------------
 
 
@@ -199,10 +201,12 @@ def test_array_engine_matches_reference_priority_schedule(g):
 @settings(max_examples=60, deadline=None)
 @given(random_graph())
 def test_array_engine_matches_object_engine_bitwise(g):
-    """Full-result identity: starts, makespan, busy intervals."""
+    """Full-result identity with the object-graph reference engine (the
+    frontier scan behind legacy callables): starts, makespan, busy
+    intervals."""
     from repro.core.compiled import CompiledGraph
 
-    object_result = simulate(g)
+    object_result = simulate(g, earliest_start_scheduler)
     _assert_same_result(CompiledGraph.build(g).run(), object_result)
 
 
@@ -224,17 +228,3 @@ def test_array_engine_no_numpy_fallback(g):
         _assert_same_result(compiled.run(), object_result)
     finally:
         compiled_mod._np = saved_np
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_graph())
-def test_simulate_auto_selects_warm_compiled_engine(g):
-    """simulate() tiers up: object engine first, compiled once warm —
-    with bit-identical results before and after the switch."""
-    first = simulate(g)
-    assert g._compiled is None  # one-shot graphs never pay the lowering
-    second = simulate(g)
-    assert g._compiled is not None  # second run at one generation compiles
-    third = simulate(g)
-    _assert_same_result(second, first)
-    _assert_same_result(third, first)
