@@ -226,7 +226,8 @@ def test_perf_whatif_sweep(bert_session):
     ]
     predictions = _record(
         "whatif_sweep3",
-        lambda: bert_session.sweep(questions, processes=1),
+        lambda: [bert_session.predict(optimization, cluster=cl)
+                 for optimization, cl in questions],
         rounds=5,
     )
     assert len(predictions) == 3

@@ -61,7 +61,7 @@ def test_scenario_runner_identity_and_overhead(benchmark):
 
 
 def test_scenario_grid_matches_serial(benchmark):
-    """Fork-parallel grids return exactly the serial predictions."""
+    """Pool-parallel grids return exactly the serial predictions."""
     def run():
         base = Scenario(model="resnet50",
                         optimizations=["distributed_training"])
@@ -102,7 +102,8 @@ def test_spawn_sweep_rows_match_serial(benchmark):
                                                 store=store,
                                                 start_method="spawn")
             warm = ScenarioRunner().run_grid(scenarios, store=store)
-            serial = ScenarioRunner().run_grid(scenarios, processes=1)
+            runner = ScenarioRunner()
+            serial = [runner.run(s) for s in scenarios]
             return spawned, warm, serial
 
         spawned, warm, serial = run_once(benchmark, run)
@@ -153,7 +154,8 @@ def test_sweep_store_cold_vs_warm(benchmark):
             warm = ScenarioRunner().run_grid(scenarios, parallel=4,
                                              store=store)
             warm_s = time.perf_counter() - t0
-            serial = ScenarioRunner().run_grid(scenarios, processes=1)
+            runner = ScenarioRunner()
+            serial = [runner.run(s) for s in scenarios]
             return cold, warm, serial, cold_s, warm_s
 
         cold, warm, serial, cold_s, warm_s = run_once(benchmark, run)

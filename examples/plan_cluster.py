@@ -9,8 +9,8 @@ Answers, from a *single-GPU* profile:
   (BlueConnect) help at my bandwidth?"
 
 The whole study is a list of declared scenarios (bandwidth x cluster shape,
-plus three stacked-optimization questions); the fork-based runner fans the
-predictions across CPU cores.
+plus three stacked-optimization questions); the runner's grid executor fans
+the predictions across CPU cores.
 
 Run:  python examples/plan_cluster.py [model]
 """

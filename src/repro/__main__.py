@@ -150,7 +150,7 @@ def cmd_whatif(args) -> int:
 
 def cmd_run(args) -> int:
     runner = ScenarioRunner()
-    outcomes = runner.run_file(args.scenario, processes=args.processes)
+    outcomes = runner.run_file(args.scenario, parallel=args.jobs)
     result = runner.to_result(outcomes, experiment="scenario",
                               title=f"Scenarios from {args.scenario}")
     print(result.render())
@@ -193,10 +193,8 @@ def cmd_sweep(args) -> int:
         print(f"  [{done}/{total}] {tag} {cell.scenario.label()}",
               file=sys.stderr)
 
-    from repro.analysis.parallel import default_processes
-    jobs = args.jobs or default_processes()
     t0 = time.perf_counter()
-    outcomes = runner.run_file(args.scenario, parallel=jobs,
+    outcomes = runner.run_file(args.scenario, parallel=args.jobs,
                                store=store, force=force, progress=progress,
                                start_method=args.start_method,
                                max_cell_retries=args.max_cell_retries)
@@ -374,6 +372,19 @@ def cmd_serve_predict(args) -> int:
     return 0
 
 
+def _job_count(value: str) -> int:
+    """argparse type for ``--jobs``: a worker count of at least 1."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {value!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1 worker, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -409,14 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario JSON file "
                                      "(single scenario or grid)")
     run.add_argument("scenario", help="path to the scenario/grid JSON")
-    run.add_argument("--processes", type=int, default=None,
-                     help="worker processes for grid fan-out")
+    run.add_argument("--jobs", "--processes", dest="jobs", type=_job_count,
+                     default=None, metavar="N",
+                     help="worker processes for a grid (default: one per "
+                          "CPU); --processes is an alias")
 
     sweep = sub.add_parser(
         "sweep", help="batch-execute a scenario grid over the process-pool "
                       "executor and a persistent result store")
     sweep.add_argument("scenario", help="path to the scenario/grid JSON")
-    sweep.add_argument("--jobs", type=int, default=None, metavar="N",
+    sweep.add_argument("--jobs", type=_job_count, default=None, metavar="N",
                        help="worker processes (default: one per CPU)")
     sweep.add_argument("--store", default=None, metavar="DIR",
                        help="persistent result store directory; cells "
@@ -454,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cache engine ground truth (and, where "
                                  "supported, predictions) in this sweep "
                                  "store; bare --store uses ./.sweep-store")
-    experiment.add_argument("--jobs", type=int, default=None, metavar="N",
+    experiment.add_argument("--jobs", type=_job_count, default=None,
+                            metavar="N",
                             help="fan measurements/predictions across N "
                                  "processes (experiments that support it)")
     experiment.add_argument("--force", action="store_true",

@@ -13,10 +13,9 @@ answer questions for many different optimizations"):
 """
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import improvement_percent, speedup
-from repro.analysis.parallel import fork_map
 from repro.core.breakdown import RuntimeBreakdown, compute_breakdown
 from repro.core.compiled import CellDelta, CompiledGraph, compiled_for
 from repro.core.compiled import simulate_many as _compiled_simulate_many
@@ -146,9 +145,8 @@ class WhatIfSession:
 
         Built once per graph generation and cached *on the graph* (see
         :func:`repro.core.compiled.compiled_for`), so every consumer —
-        :meth:`simulate_many`, :meth:`sweep` cell batches, the
-        transactions :meth:`predict` opens, forked sweep workers that
-        inherit this session — shares one lowering.  The write barrier
+        :meth:`simulate_many` cell batches and the transactions
+        :meth:`predict` opens — shares one lowering.  The write barrier
         invalidates it: any structural mutation or in-place task write
         outside a transaction bumps the graph generation and the next
         access relowers.
@@ -226,57 +224,3 @@ class WhatIfSession:
         """
         return _compiled_simulate_many(self.compiled_baseline(), list(cells),
                                        scheduler)
-
-    def sweep(
-        self,
-        questions: Iterable[Union[OptimizationModel, CellDelta,
-                                  Tuple[OptimizationModel,
-                                        Optional[ClusterSpec]]]],
-        cluster: Optional[ClusterSpec] = None,
-        processes: Optional[int] = None,
-    ) -> List["Prediction"]:
-        """Answer many what-if questions, fanned out across CPU cores.
-
-        Args:
-            questions: optimization models, ``(model, cluster)`` pairs for
-                per-question clusters (Figure-8-style grids), or
-                :class:`~repro.core.compiled.CellDelta` parameter cells.
-                Cells are answered in-process through the batched
-                :meth:`simulate_many` path — one shared compiled baseline,
-                no per-cell fork or graph setup.
-            cluster: default cluster for bare-model questions.
-            processes: worker count (see
-                :func:`repro.analysis.parallel.fork_map`); serial fallback
-                preserves exactly the same results.
-
-        Returns:
-            One :class:`Prediction` per question, in question order.
-        """
-        entries: List[Tuple[str, object]] = []
-        for question in questions:
-            if isinstance(question, CellDelta):
-                entries.append(("cell", question))
-            elif isinstance(question, tuple):
-                entries.append(("opt", question))
-            else:
-                entries.append(("opt", (question, cluster)))
-        # materialize the shared state *before* forking so every worker
-        # inherits the built graph and baseline instead of rebuilding them
-        self.baseline_result
-        cells = [q for kind, q in entries if kind == "cell"]
-        cell_answers = iter(())
-        if cells:
-            baseline_us = self.baseline_us
-            cell_answers = iter([
-                Prediction(optimization=cell.label, baseline_us=baseline_us,
-                           predicted_us=result.makespan_us)
-                for cell, result in zip(cells, self.simulate_many(cells))
-            ])
-        pairs = [q for kind, q in entries if kind == "opt"]
-        opt_answers = iter(fork_map(
-            lambda pair: self.predict(pair[0], cluster=pair[1]),
-            pairs,
-            processes=processes,
-        )) if pairs else iter(())
-        return [next(cell_answers) if kind == "cell" else next(opt_answers)
-                for kind, _ in entries]

@@ -9,10 +9,41 @@ per measurement family in the shared
 experiments sharing a deployment) skip the engine entirely.
 """
 
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.texttable import render_table
+
+# fork-inherited ground-truth computes for the worker processes (never
+# pickled: they are closures over models, configs and traces)
+_COMPUTES: Optional[Sequence[Callable[[], float]]] = None
+
+
+def _compute(index: int) -> float:
+    assert _COMPUTES is not None
+    return float(_COMPUTES[index]())
+
+
+def _fork_map(computes: Sequence[Callable[[], float]],
+              jobs: int) -> List[float]:
+    """Run zero-argument computes across ``jobs`` fork workers, in order.
+
+    The computes reach the children through fork, so they may close over
+    anything; only indices go down and floats come back.  One job, one
+    compute or a platform without fork runs them serially in-process —
+    the results are identical either way.
+    """
+    global _COMPUTES
+    jobs = min(jobs, len(computes))
+    if jobs <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [float(compute()) for compute in computes]
+    _COMPUTES = computes
+    try:
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            return pool.map(_compute, range(len(computes)))
+    finally:
+        _COMPUTES = None
 
 
 def cached_measurements(requests: Sequence[tuple], store=None,
@@ -67,9 +98,7 @@ def cached_measurements(requests: Sequence[tuple], store=None,
         pending.append(index)
 
     if pending:
-        from repro.analysis.parallel import fork_map
-        computed = fork_map(lambda i: float(requests[i][2]()), pending,
-                            processes=jobs or 1)
+        computed = _fork_map([requests[i][2] for i in pending], jobs or 1)
         for index, value in zip(pending, computed):
             scenario, kind, _compute = requests[index]
             if store is not None:

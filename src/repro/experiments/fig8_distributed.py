@@ -8,17 +8,18 @@ synchronization before each all-reduce (the paper's measurement baseline).
 Paper result: at most ~10% error in most configurations, with a few
 exceptions at 20/40 Gbps.
 
-With ``jobs=``/``store=`` the grid runs on the scenario batch substrate:
-predictions fan out over the process-pool executor and both the prediction
-and ground-truth rows persist in a :class:`~repro.scenarios.store.SweepStore`
-(ground truth under the ``groundtruth:ddp-sync`` kind), so a re-run — after
-a crash, or with more bandwidth points — only simulates the new cells.
+The grid runs on the scenario batch substrate: predictions fan out over
+the process-pool executor (``jobs=`` workers, one per CPU by default), and
+with ``store=`` both the prediction and ground-truth rows persist in a
+:class:`~repro.scenarios.store.SweepStore` (ground truth under the
+``groundtruth:ddp-sync`` kind), so a re-run — after a crash, or with more
+bandwidth points — only simulates the new cells.
 """
 
+import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import prediction_error
-from repro.analysis.parallel import default_processes
 from repro.experiments.common import (
     ExperimentResult,
     cached_measurements,
@@ -42,18 +43,17 @@ GROUNDTRUTH_KIND = "groundtruth:ddp-sync"
 def run(models: Optional[List[str]] = None,
         bandwidths: Optional[Sequence[float]] = None,
         configs: Optional[Sequence[Tuple[int, int]]] = None,
-        processes: Optional[int] = None,
         jobs: Optional[int] = None,
         store=None, force: bool = False) -> ExperimentResult:
     """Reproduce Figure 8 (all four sub-figures).
 
-    Every (bandwidth, machines, gpus) cell of a model is one scenario over
-    the same single-GPU profile.  By default the grid's predictions fan out
-    across cores through the runner (fork-based ``sweep``) and the
-    ground-truth engine runs fan out the same way; with ``jobs=`` or
-    ``store=`` the predictions run on the process-pool batch executor and
-    results persist/resume through the store.  All paths are deterministic:
-    parallel rows are identical to a serial run.
+    Every (model, bandwidth, machines, gpus) cell is one scenario over its
+    model's single-GPU profile, and the whole grid runs through one
+    :meth:`~repro.scenarios.ScenarioRunner.run_grid` call.  ``jobs``
+    workers (one per CPU unless told otherwise) fan out both the
+    predictions and the ground-truth engine runs; ``store=`` persists and
+    resumes both.  Rows are deterministic: a parallel run is identical to
+    a serial one.
     """
     result = ExperimentResult(
         experiment="fig8",
@@ -63,45 +63,42 @@ def run(models: Optional[List[str]] = None,
         notes="Paper: at most ~10% error in most configurations.",
     )
     store = experiment_store(store)
-    runner = ScenarioRunner()
-    for name in models or MODELS:
-        base = Scenario(model=name)
-        scenarios = [
-            base.with_cluster(machines, gpus, bandwidth_gbps=bw).with_(
+    scenarios = [
+        Scenario(model=name).with_cluster(
+            machines, gpus, bandwidth_gbps=bw).with_(
                 optimizations=(["distributed_training"]
                                if machines * gpus > 1 else []))
-            for bw in (bandwidths or BANDWIDTHS_GBPS)
-            for machines, gpus in (configs or CONFIGS)
-        ]
-        outcomes = runner.run_grid(scenarios, processes=processes,
-                                   parallel=jobs, store=store, force=force)
+        for name in models or MODELS
+        for bw in (bandwidths or BANDWIDTHS_GBPS)
+        for machines, gpus in (configs or CONFIGS)
+    ]
+    outcomes = ScenarioRunner().run_grid(scenarios, parallel=jobs,
+                                         store=store, force=force)
 
-        # store reads/writes happen here in the parent; only the missing
-        # engine runs fan out (single-worker cells have nothing to
-        # measure), across one worker per CPU unless told otherwise
-        measure_jobs = jobs if jobs is not None else processes
-        if measure_jobs is None:
-            measure_jobs = default_processes()
-        distributed = [o for o in outcomes if o.cluster.is_distributed]
-        measured = iter(cached_measurements(
-            [(o.scenario, GROUNDTRUTH_KIND,
-              lambda o=o: groundtruth.run_distributed(
-                  o.model, o.cluster, o.config,
-                  sync_before_allreduce=True).iteration_us)
-             for o in distributed],
-            store=store, force=force, jobs=measure_jobs))
-        truths = [next(measured) if o.cluster.is_distributed else None
-                  for o in outcomes]
-        for outcome, truth_us in zip(outcomes, truths):
-            bw = outcome.scenario.cluster.bandwidth_gbps
-            if truth_us is None:  # single-worker cell: nothing to predict
-                result.add_row(name, outcome.cluster.label(), bw,
-                               outcome.baseline_us / 1000.0,
-                               outcome.baseline_us / 1000.0, 0.0)
-            else:
-                result.add_row(name, outcome.cluster.label(), bw,
-                               truth_us / 1000.0,
-                               outcome.predicted_us / 1000.0,
-                               prediction_error(outcome.predicted_us,
-                                                truth_us) * 100.0)
+    # store reads/writes happen here in the parent; only the missing
+    # engine runs fan out (single-worker cells have nothing to measure)
+    distributed = [o for o in outcomes if o.cluster.is_distributed]
+    measured = iter(cached_measurements(
+        [(o.scenario, GROUNDTRUTH_KIND,
+          lambda o=o: groundtruth.run_distributed(
+              o.model, o.cluster, o.config,
+              sync_before_allreduce=True).iteration_us)
+         for o in distributed],
+        store=store, force=force,
+        jobs=jobs if jobs is not None else (os.cpu_count() or 1)))
+    for outcome in outcomes:
+        name = outcome.scenario.model
+        bw = outcome.scenario.cluster.bandwidth_gbps
+        if not outcome.cluster.is_distributed:
+            # single-worker cell: nothing to predict
+            result.add_row(name, outcome.cluster.label(), bw,
+                           outcome.baseline_us / 1000.0,
+                           outcome.baseline_us / 1000.0, 0.0)
+        else:
+            truth_us = next(measured)
+            result.add_row(name, outcome.cluster.label(), bw,
+                           truth_us / 1000.0,
+                           outcome.predicted_us / 1000.0,
+                           prediction_error(outcome.predicted_us,
+                                            truth_us) * 100.0)
     return result

@@ -9,7 +9,7 @@ This package is the single front door for running what-if analyses:
 * :mod:`repro.scenarios.scenario` — the :class:`Scenario` /
   :class:`ScenarioGrid` dataclasses with dict/JSON round-tripping;
 * :mod:`repro.scenarios.runner` — the :class:`ScenarioRunner` executing
-  single scenarios and fork-parallel grids;
+  single scenarios in-process and grids on the batch executor;
 * :mod:`repro.scenarios.store` — the content-addressed on-disk
   :class:`SweepStore` of sweep results (atomic writes, corruption-safe
   reads, version-salted keys, LRU garbage collection and generation

@@ -1,8 +1,10 @@
 """Multiprocess batch execution of scenario grids over a result store.
 
-The fork-based :meth:`WhatIfSession.sweep` parallelizes *predictions of one
-workload*; large scenario catalogs also need the *profiling* fanned out and
-finished cells remembered.  :func:`run_batch` is that substrate:
+:func:`run_batch` is the one grid fan-out substrate: every
+:meth:`~repro.scenarios.runner.ScenarioRunner.run_grid` call (and so every
+``repro run``/``repro sweep`` grid and every experiment grid) goes through
+it.  It fans out the *profiling* as well as the predictions, and
+remembers finished cells:
 
 * cells already in the :class:`~repro.scenarios.store.SweepStore` are
   skipped up front (resume is the default behaviour of handing in a store);
@@ -57,14 +59,16 @@ finished cells remembered.  :func:`run_batch` is that substrate:
 Because the simulator and the keyed PRNG are deterministic, pool results
 are bit-identical to a serial run under *either* start method — and under
 injected worker crashes and backend faults;
-``tests/test_sweep_determinism.py`` pins serial / fork-sweep / process-pool
-/ spawn-pool / cached / remote-warm / chaos rows against each other.
+``tests/test_sweep_determinism.py`` pins serial / process-pool /
+spawn-pool / cached / remote-warm / cross-host / chaos rows against each
+other.
 ``docs/robustness.md`` is the written failure-mode contract.
 
 """
 
 import math
 import multiprocessing
+import os
 import pickle
 import sys
 import threading
@@ -74,7 +78,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.parallel import default_processes
 from repro.common.errors import ConfigError
 from repro.models.base import ModelSpec
 from repro.models.registry import register_model, runtime_registered_models
@@ -512,8 +515,8 @@ def run_batch(
             written back locally.  Missing cells are claimed under
             per-key leases, so concurrent sweeps sharing the store
             compute each identical cell once.
-        jobs: worker processes; ``None`` uses one per CPU, ``1`` runs
-            serially in-process (same rows either way).
+        jobs: worker processes, at least 1; ``None`` uses one per CPU,
+            ``1`` runs serially in-process (same rows either way).
         force: recompute every cell even on a store hit (entries are
             overwritten with the fresh rows).
         progress: called as ``progress(done, total, cell)`` after every
@@ -543,6 +546,8 @@ def run_batch(
                           "optimization registry")
     if max_cell_retries < 0:
         raise ConfigError("max_cell_retries cannot be negative")
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     scenarios = list(scenarios)
     total = len(scenarios)
     cells: List[Optional[SweepCell]] = [None] * total
@@ -763,7 +768,7 @@ def run_batch(
 
     try:
         if pending:
-            jobs = default_processes() if jobs is None else max(1, jobs)
+            jobs = jobs if jobs is not None else (os.cpu_count() or 1)
             chunks = _partition(scenarios, pending, jobs)
             workers = min(jobs, len(chunks))
             report.workers = workers

@@ -3,8 +3,8 @@
 A pipeline turns a declared optimization stack into a single
 :class:`~repro.optimizations.base.OptimizationModel` that applies every
 member through one graph-transformation pass, so the whole stack flows
-through the existing :meth:`WhatIfSession.predict` / :meth:`sweep` path
-(including the fork-based grid machinery) unchanged.
+through the existing :meth:`WhatIfSession.predict` path (and so through
+every grid) unchanged.
 
 Composition is validated up front:
 

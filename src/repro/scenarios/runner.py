@@ -6,16 +6,17 @@ pipeline that experiments, examples and the CLI used to wire by hand:
 * sessions are profiled once per (model, batch size, training config) and
   cached, so a bandwidth sweep over one model profiles a single iteration;
 * single scenarios run through :meth:`WhatIfSession.predict`;
-* grids run through the existing fork-based :meth:`WhatIfSession.sweep`
-  (``processes=``), or — for durable, multi-workload sweeps — through the
-  :mod:`repro.scenarios.batch` process-pool executor and the
-  :mod:`repro.scenarios.store` result store (``parallel=`` / ``store=``),
-  which skips cells already on disk and resumes interrupted sweeps;
-* all paths produce bit-identical rows.
+* grids run through one fan-out substrate, the
+  :mod:`repro.scenarios.batch` process-pool executor (serial, fork or
+  spawn workers, crash recovery), optionally over the
+  :mod:`repro.scenarios.store` result store (``store=``), which skips
+  cells already on disk and resumes interrupted sweeps;
+* grid rows are bit-identical to serial :meth:`ScenarioRunner.run` calls.
 
-Outcomes expose the underlying session, model spec, config and cluster so
-experiment modules can add ground-truth columns without re-wiring anything.
-Cache-served outcomes are *detached*: they carry the stored timings and the
+Outcomes expose the model spec, config and cluster so experiment modules
+can add ground-truth columns without re-wiring anything.  :meth:`run`
+outcomes also carry the profiled session; grid outcomes are *detached*:
+they carry the timings a worker or the store produced and the
 cheap-to-build model/config/cluster specs, but no profiled session.
 """
 
@@ -41,9 +42,8 @@ class ScenarioOutcome:
 
     ``prediction`` is ``None`` for baseline-only scenarios (an empty
     optimization stack asks "how long is one iteration?", nothing more)
-    and for cache-served outcomes, whose timings come from the store.
-    ``session`` is ``None`` for outcomes that never simulated locally
-    (store hits, process-pool cells).
+    and, like ``session``, for every grid outcome: those timings come
+    from a batch worker or the store, not from a local simulation.
     """
 
     scenario: Scenario
@@ -91,10 +91,9 @@ SCENARIO_RESULT_HEADERS = (
 class ScenarioRunner:
     """Run scenarios and scenario grids against cached profiled sessions."""
 
-    def __init__(self, registry: Optional[OptimizationRegistry] = None,
-                 cache_sessions: bool = True) -> None:
+    def __init__(self,
+                 registry: Optional[OptimizationRegistry] = None) -> None:
         self.registry = registry or DEFAULT_REGISTRY
-        self.cache_sessions = cache_sessions
         self._sessions: Dict[object, Tuple[Tuple[WhatIfSession, ModelSpec,
                                                  TrainingConfig],
                                            object]] = {}
@@ -135,17 +134,15 @@ class ScenarioRunner:
             model = scenario.build_model()
             session = WhatIfSession.from_model(model, config=config)
             cached = ((session, model, config), token)
-            if self.cache_sessions:
-                self._sessions[key] = cached
+            self._sessions[key] = cached
         return cached[0]
 
     # ------------------------------------------------------------- execution
 
-    def _prepare(self, scenario: Scenario) -> Tuple[
-            WhatIfSession, ModelSpec, TrainingConfig,
+    def _validate(self, scenario: Scenario) -> Tuple[
             Optional[ClusterSpec], OptimizationPipeline]:
-        """Resolve and validate everything one scenario execution needs."""
-        session, model, config = self._session_entry(scenario)
+        """Build a scenario's cluster and pipeline, enforcing the stack's
+        prerequisites (a communication stack needs a cluster)."""
         cluster = scenario.build_cluster()
         pipeline = scenario.build_pipeline(self.registry)
         if pipeline.requires_cluster and cluster is None:
@@ -153,7 +150,7 @@ class ScenarioRunner:
                 f"stack {scenario.stack_label()!r} needs a cluster; "
                 "declare scenario.cluster"
             )
-        return session, model, config, cluster, pipeline
+        return cluster, pipeline
 
     def run_cells(self, scenario: Scenario, cells: Sequence,
                   scheduler=None) -> List[Prediction]:
@@ -182,7 +179,8 @@ class ScenarioRunner:
 
     def run(self, scenario: Scenario) -> ScenarioOutcome:
         """Execute one scenario."""
-        session, model, config, cluster, pipeline = self._prepare(scenario)
+        session, model, config = self._session_entry(scenario)
+        cluster, pipeline = self._validate(scenario)
         prediction = (session.predict(pipeline, cluster=cluster)
                       if len(pipeline) else None)
         predicted_us = (prediction.predicted_us if prediction is not None
@@ -200,24 +198,16 @@ class ScenarioRunner:
 
         Validates the scenario exactly like :meth:`run` (pipeline rules,
         cluster requirements) and builds the cheap model/config/cluster
-        specs, but profiles nothing — this is how store hits and
-        process-pool cells come back.
+        specs, but profiles nothing — this is how grid cells come back.
         """
         config = scenario.build_config()
-        cluster = scenario.build_cluster()
-        pipeline = scenario.build_pipeline(self.registry)
-        if pipeline.requires_cluster and cluster is None:
-            raise ConfigError(
-                f"stack {scenario.stack_label()!r} needs a cluster; "
-                "declare scenario.cluster"
-            )
+        cluster, _pipeline = self._validate(scenario)
         return ScenarioOutcome(scenario=scenario, session=None,
                                model=scenario.build_model(), config=config,
                                cluster=cluster, baseline_us=baseline_us,
                                predicted_us=predicted_us, cached=cached)
 
     def run_grid(self, scenarios: Sequence[Scenario],
-                 processes: Optional[int] = None,
                  parallel: Optional[int] = None,
                  store=None, force: bool = False,
                  progress=None,
@@ -226,125 +216,84 @@ class ScenarioRunner:
                  ) -> List[ScenarioOutcome]:
         """Execute many scenarios, fanning work across CPU cores.
 
-        Two fan-out substrates share this entry point:
+        Every cell's stack is validated up front (the checks
+        :meth:`detached_outcome` runs), so a bad cell raises before any
+        worker starts.  The grid then runs on the
+        :func:`repro.scenarios.batch.run_batch` executor with
+        ``parallel`` workers (``None``: one per CPU; ``1``: serially in
+        this process).  Cells sharing a workload (model, batch size,
+        config) share one profiled session and its compiled simulation
+        baseline per worker.
 
-        * default (``processes=``): scenarios sharing a workload (model,
-          batch size, config) share one profiled session in *this*
-          process; each shared group's predictions go through the
-          session's fork-based :meth:`~WhatIfSession.sweep`;
-        * batch (``parallel=`` and/or ``store=``): cells run on the
-          :func:`repro.scenarios.batch.run_batch` process-pool executor,
-          skipping cells the :class:`~repro.scenarios.store.SweepStore`
-          already holds (resume; a store with a ``remote`` tier also
-          reads through to it, so a warm shared server means zero local
-          simulations) and persisting new ones — missing cells are
-          claimed under per-key leases so concurrent sweeps sharing a
-          store dedupe identical cells; ``force=True`` recomputes hits,
-          ``progress(done, total, cell)`` streams completion, and
-          ``start_method`` picks the worker start method
-          (``"fork"``/``"spawn"``/``"serial"``, default automatic — see
-          :class:`~repro.scenarios.batch.WorkerManifest` for how spawn
-          workers rebuild runtime registrations).  ``max_cell_retries``
-          bounds how often one cell is requeued after its chunk crashed
-          a worker before being quarantined to the parent; cells that
-          fail even there abort the grid with a :class:`ConfigError`
-          naming every failed cell (matching serial semantics, where a
-          poisoned cell raises too — callers wanting partial results use
-          :func:`~repro.scenarios.batch.run_batch` directly).
+        With a ``store``, cells the
+        :class:`~repro.scenarios.store.SweepStore` already holds are
+        served without simulation (resume; a store with a ``remote`` tier
+        also reads through to it, so a warm shared server means zero
+        local simulations) and new ones are persisted — missing cells are
+        claimed under per-key leases so concurrent sweeps sharing a store
+        dedupe identical cells.  ``force=True`` recomputes hits,
+        ``progress(done, total, cell)`` streams completion, and
+        ``start_method`` picks the worker start method
+        (``"fork"``/``"spawn"``/``"serial"``, default automatic — see
+        :class:`~repro.scenarios.batch.WorkerManifest` for how spawn
+        workers rebuild runtime registrations).  ``max_cell_retries``
+        bounds how often one cell is requeued after its chunk crashed a
+        worker before being quarantined to the parent; cells that fail
+        even there abort the grid with a :class:`ConfigError` naming
+        every failed cell (matching serial semantics, where a poisoned
+        cell raises too — callers wanting partial results use
+        :func:`~repro.scenarios.batch.run_batch` directly).
 
-        Results come back in input order and are bit-identical across
-        both substrates, both start methods, and serial :meth:`run` calls.
-
-        On both substrates the per-workload session cache also shares the
-        compiled simulation baseline (`repro.core.compiled`): a workload's
-        lowering is built by its first simulate and reused by every
-        scenario of that workload (and by every chunk a pool worker runs);
-        each question transforms the graph inside a journaled transaction
-        that hands the lowering back unchanged on exit.
+        Results come back in input order, as detached outcomes (no
+        session, no prediction), bit-identical across start methods,
+        store tiers and serial :meth:`run` calls.
         """
-        if parallel is not None or store is not None:
-            from repro.scenarios.batch import run_batch
-            kwargs = {}
-            if max_cell_retries is not None:
-                kwargs["max_cell_retries"] = max_cell_retries
-            report = run_batch(scenarios, registry=self.registry,
-                               store=store, jobs=parallel, force=force,
-                               progress=progress, start_method=start_method,
-                               **kwargs)
-            if report.failures:
-                detail = "; ".join(
-                    f"cell {f.index} ({f.label}): {f.error}"
-                    for f in report.failures)
-                raise ConfigError(
-                    f"{report.failed} grid cell(s) failed after retries "
-                    f"and quarantine: {detail}")
-            return [self.detached_outcome(cell.scenario, cell.baseline_us,
-                                          cell.predicted_us,
-                                          cached=cell.cached)
-                    for cell in report.cells]
-
-        prepared: List[Tuple[Scenario, WhatIfSession, ModelSpec,
-                             TrainingConfig, Optional[ClusterSpec],
-                             OptimizationPipeline]] = []
-        groups: Dict[int, List[int]] = {}
-        for index, scenario in enumerate(scenarios):
-            session, model, config, cluster, pipeline = \
-                self._prepare(scenario)
-            prepared.append((scenario, session, model, config, cluster,
-                             pipeline))
-            groups.setdefault(id(session), []).append(index)
-
-        predictions: Dict[int, Optional[Prediction]] = {}
-        for indices in groups.values():
-            session = prepared[indices[0]][1]
-            question_indices = [i for i in indices if len(prepared[i][5])]
-            for i in indices:
-                predictions[i] = None
-            if not question_indices:
-                continue
-            answers = session.sweep(
-                [(prepared[i][5], prepared[i][4]) for i in question_indices],
-                processes=processes,
-            )
-            for i, answer in zip(question_indices, answers):
-                predictions[i] = answer
-
-        outcomes = []
-        for index, (scenario, session, model, config, cluster, _pipeline) \
-                in enumerate(prepared):
-            prediction = predictions[index]
-            predicted_us = (prediction.predicted_us if prediction is not None
-                            else session.baseline_us)
-            outcomes.append(ScenarioOutcome(
-                scenario=scenario, session=session, model=model,
-                config=config, cluster=cluster,
-                baseline_us=session.baseline_us, predicted_us=predicted_us,
-                prediction=prediction))
-        return outcomes
+        from repro.scenarios.batch import run_batch
+        scenarios = list(scenarios)
+        for scenario in scenarios:
+            self._validate(scenario)
+        kwargs = {}
+        if max_cell_retries is not None:
+            kwargs["max_cell_retries"] = max_cell_retries
+        report = run_batch(scenarios, registry=self.registry, store=store,
+                           jobs=parallel, force=force, progress=progress,
+                           start_method=start_method, **kwargs)
+        if report.failures:
+            detail = "; ".join(
+                f"cell {f.index} ({f.label}): {f.error}"
+                for f in report.failures)
+            raise ConfigError(
+                f"{report.failed} grid cell(s) failed after retries "
+                f"and quarantine: {detail}")
+        return [self.detached_outcome(cell.scenario, cell.baseline_us,
+                                      cell.predicted_us, cached=cell.cached)
+                for cell in report.cells]
 
     def run_file(self, path: str,
-                 processes: Optional[int] = None,
                  parallel: Optional[int] = None,
                  store=None, force: bool = False,
                  progress=None,
                  start_method: Optional[str] = None,
                  max_cell_retries: Optional[int] = None
                  ) -> List[ScenarioOutcome]:
-        """Execute a scenario JSON file (single scenario or grid)."""
+        """Execute a scenario JSON file (single scenario or grid).
+
+        A grid runs through :meth:`run_grid`; so does a single scenario
+        handed a ``store``, which it is read from and written to.  A
+        single scenario without one runs in-process through :meth:`run`.
+        """
         from repro.scenarios.scenario import load_scenario_file
         loaded = load_scenario_file(path)
         if isinstance(loaded, ScenarioGrid):
-            return self.run_grid(loaded.expand(), processes=processes,
-                                 parallel=parallel, store=store,
-                                 force=force, progress=progress,
-                                 start_method=start_method,
-                                 max_cell_retries=max_cell_retries)
-        if parallel is not None or store is not None:
-            return self.run_grid([loaded], parallel=parallel, store=store,
-                                 force=force, progress=progress,
-                                 start_method=start_method,
-                                 max_cell_retries=max_cell_retries)
-        return [self.run(loaded)]
+            scenarios = loaded.expand()
+        elif store is None:
+            return [self.run(loaded)]
+        else:
+            scenarios = [loaded]
+        return self.run_grid(scenarios, parallel=parallel, store=store,
+                             force=force, progress=progress,
+                             start_method=start_method,
+                             max_cell_retries=max_cell_retries)
 
     # --------------------------------------------------------------- results
 

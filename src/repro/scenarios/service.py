@@ -316,7 +316,7 @@ class PredictService:
         self.workers = workers
         self._gate = threading.BoundedSemaphore(workers)
         #: sessionless runner building rows for store-served answers
-        self._detached = ScenarioRunner(self.registry, cache_sessions=False)
+        self._detached = ScenarioRunner(self.registry)
         self._lock = threading.Lock()
         self._requests: "collections.Counter[str]" = collections.Counter()
         self._errors: "collections.Counter[int]" = collections.Counter()

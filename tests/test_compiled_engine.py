@@ -227,23 +227,8 @@ class TestSimulateMany:
         with pytest.raises(SimulationError):
             CellDelta.scale_durations(gpu, -1.0)
 
-    def test_session_sweep_mixes_cells_and_optimizations(self):
-        from repro.analysis.session import WhatIfSession
-        from repro.optimizations import FusedAdam
-
-        session = WhatIfSession.profile("resnet50")
-        tasks = session.graph.tasks()
-        cell = CellDelta.scale_durations(
-            [t for t in tasks if t.is_gpu], 0.5, label="gpu-2x")
-        answers = session.sweep([cell, FusedAdam(), CellDelta()])
-        assert [p.optimization for p in answers[::2]] == ["gpu-2x", "delta"]
-        assert answers[2].predicted_us == session.baseline_us
-        assert answers[0].predicted_us < session.baseline_us
-        # the batched cells agree with simulate_many directly
-        direct = session.simulate_many([cell])
-        assert answers[0].predicted_us == direct[0].makespan_us
-
     def test_runner_run_cells_labels_predictions(self):
+        from repro.optimizations import FusedAdam
         from repro.scenarios.runner import ScenarioRunner
         from repro.scenarios.scenario import Scenario
 
@@ -252,13 +237,23 @@ class TestSimulateMany:
         session = runner.session(scenario)
         cells = [CellDelta.scale_durations(session.graph.tasks(), f,
                                            label=f"x{f}")
-                 for f in (0.5, 1.0, 2.0)]
+                 for f in (0.5, 1.0, 2.0)] + [CellDelta()]
         predictions = runner.run_cells(scenario, cells)
         assert [p.optimization for p in predictions] == ["x0.5", "x1.0",
-                                                         "x2.0"]
+                                                         "x2.0", "delta"]
         assert predictions[1].predicted_us == session.baseline_us
+        assert predictions[3].predicted_us == session.baseline_us
         assert (predictions[0].predicted_us < predictions[1].predicted_us
                 < predictions[2].predicted_us)
+        # an optimization question in between leaves the cells' answers
+        # unchanged, and they agree with simulate_many directly
+        session.predict(FusedAdam())
+        again = runner.run_cells(scenario, cells)
+        assert [p.predicted_us for p in again] == \
+            [p.predicted_us for p in predictions]
+        direct = session.simulate_many(cells)
+        assert [p.predicted_us for p in predictions] == \
+            [r.makespan_us for r in direct]
 
 
 class TestSatelliteRegressions:

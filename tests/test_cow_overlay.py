@@ -16,7 +16,6 @@ replaced).  These tests pin the contract the what-if session relies on
 """
 
 import gc
-import multiprocessing
 import threading
 
 import pytest
@@ -353,30 +352,6 @@ class TestCowSession:
         assert session.baseline_us == baseline
         assert session.breakdown().as_row() == breakdown
         assert simulate(session.graph).makespan_us == baseline
-
-    def test_sweep_matches_serial_predicts(self, session):
-        cluster = ClusterSpec(2, 1, GPU_2080TI, NetworkSpec(bandwidth_gbps=10))
-        questions = [FusedAdam(), AutomaticMixedPrecision(),
-                     (DistributedTraining(), cluster)]
-        serial = [session.predict(FusedAdam()),
-                  session.predict(AutomaticMixedPrecision()),
-                  session.predict(DistributedTraining(), cluster=cluster)]
-        swept = session.sweep(questions, processes=1)
-        assert [p.predicted_us for p in swept] == \
-            [p.predicted_us for p in serial]
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_sweep_parallel_matches_serial(self, session):
-        questions = [FusedAdam(), AutomaticMixedPrecision()]
-        serial = session.sweep(questions, processes=1)
-        parallel = session.sweep(questions, processes=2)
-        assert [p.predicted_us for p in parallel] == \
-            [p.predicted_us for p in serial]
-        # forked workers never corrupt the parent's baseline
-        assert simulate(session.graph).makespan_us == session.baseline_us
 
     def test_warm_predicts_do_not_grow_the_heap(self, session):
         questions = [AutomaticMixedPrecision(), FusedAdam()]

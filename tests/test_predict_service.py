@@ -2,7 +2,7 @@
 
 End-to-end coverage for :mod:`repro.scenarios.service`: a warm ``POST
 /predict`` answer is bit-identical to the serial ``repro run`` path (the
-ninth pinned determinism path, and the sweep store is the bridge — a row
+service-warm determinism path, and the sweep store is the bridge — a row
 computed by ``repro sweep`` is a warm service hit and vice versa), batch
 answers equal N single answers exactly, the LRU session pool evicts at
 ``--max-sessions`` and survives engine failures by evicting only the
@@ -104,7 +104,8 @@ def test_cold_then_warm_roundtrip_is_memoized_and_bit_identical(tmp_path):
 
 
 def test_sweep_written_entries_are_warm_service_hits(tmp_path):
-    """Ninth determinism path: sweep-computed rows serve warm, unchanged."""
+    """Service-warm determinism path: sweep-computed rows serve warm,
+    unchanged."""
     scenarios = [Scenario(model=MODEL, optimizations=["amp"]),
                  Scenario(model=MODEL)]
     store = SweepStore(str(tmp_path / "store"))

@@ -224,7 +224,8 @@ def test_two_hosts_compute_a_24_cell_grid_exactly_once_between_them(
     )
     scenarios = grid.expand()
     assert len(scenarios) == 24
-    serial = ScenarioRunner().run_grid(scenarios, processes=1)
+    runner = ScenarioRunner()
+    serial = [runner.run(s) for s in scenarios]
     serial_rows = [o.as_row() for o in serial]
 
     ctx = multiprocessing.get_context("fork")

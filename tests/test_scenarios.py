@@ -317,11 +317,18 @@ class TestScenarioRunner:
                 model="resnet50", batch_size=2,
                 optimizations=["distributed_training"]))
 
-    def test_run_grid_rejects_missing_cluster_upfront(self):
+    def test_run_grid_rejects_missing_cluster_upfront(self, monkeypatch):
+        import repro.scenarios.batch as batch
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("run_batch entered before validation")
+
+        monkeypatch.setattr(batch, "run_batch", never)
         with pytest.raises(ConfigError, match="needs a cluster"):
-            ScenarioRunner().run_grid([Scenario(
-                model="resnet50", batch_size=2,
-                optimizations=["distributed_training"])])
+            ScenarioRunner().run_grid([
+                Scenario(model="resnet50", batch_size=2),
+                Scenario(model="resnet50", batch_size=2,
+                         optimizations=["distributed_training"])])
 
     def test_grid_axis_into_missing_cluster_is_config_error(self):
         grid = ScenarioGrid(base=Scenario(model="gnmt"),
@@ -362,9 +369,11 @@ class TestScenarioRunner:
             base.with_(optimizations=["amp"]),
             base.with_(optimizations=["gist"]),
         ]
-        outcomes = runner.run_grid(scenarios, processes=2)
+        outcomes = runner.run_grid(scenarios, parallel=2)
         assert [o.scenario for o in outcomes] == scenarios
-        assert outcomes[0].prediction is None
+        # grid outcomes are detached: timings only, no session
+        assert all(o.prediction is None and o.session is None
+                   for o in outcomes)
         serial = [runner.run(s) for s in scenarios]
         assert [o.predicted_us for o in outcomes] == \
             [o.predicted_us for o in serial]
@@ -421,7 +430,8 @@ class TestScenarioCLI:
         out = capsys.readouterr().out
         assert "amp" in out and "resnet50" in out
 
-    def test_run_grid_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flag", ["--jobs", "--processes"])
+    def test_run_grid_file(self, flag, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({
             "base": {"model": "resnet50", "batch_size": 2,
@@ -430,6 +440,21 @@ class TestScenarioCLI:
                                  "bandwidth_gbps": 10}},
             "axes": {"cluster.machines": [2, 4]},
         }))
-        assert main(["run", str(path), "--processes", "2"]) == 0
+        assert main(["run", str(path), flag, "2"]) == 0
         out = capsys.readouterr().out
         assert "2x1" in out and "4x1" in out
+
+    @pytest.mark.parametrize("command", [
+        ["run", "g.json", "--jobs"],
+        ["run", "g.json", "--processes"],
+        ["sweep", "g.json", "--jobs"],
+        ["experiment", "fig8", "--jobs"],
+    ], ids=["run", "run-processes", "sweep", "experiment"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_rejected(self, command, jobs, capsys):
+        # 0 used to mean "one per CPU" and -2 "serial", both silently
+        with pytest.raises(SystemExit) as exc:
+            main(command + [jobs])
+        assert exc.value.code == 2
+        assert f"must be at least 1 worker, got {jobs}" \
+            in capsys.readouterr().err

@@ -1,10 +1,11 @@
-"""Every sweep substrate must produce bit-identical rows.
+"""Every path through the grid substrate must produce bit-identical rows.
 
-A pinned grid runs through all eight execution paths —
+A pinned grid runs through every execution path of ``run_grid`` (the
+``run_batch`` executor) and each is compared against an oracle that does
+not use the substrate at all — serial ``ScenarioRunner.run`` calls:
 
-* serial ``run_grid`` (``processes=1``: plain in-process loop),
-* the fork-based ``WhatIfSession.sweep`` fan-out (``processes=2``),
-* the process-pool batch executor (``parallel=2`` + a fresh store),
+* the process-pool batch executor with **fork** workers (``parallel=2``),
+  with and without a fresh store, and in-process (``start_method="serial"``),
 * the **spawn**-context batch executor (``start_method="spawn"``: fresh
   interpreters rebuilding the runtime-registered model — and any
   runtime-registered schedule policy — from a pickled
@@ -87,10 +88,21 @@ def rows_of(outcomes):
     return [o.as_row() for o in outcomes]
 
 
+def run_serially(scenarios):
+    """The oracle: one in-process ``run`` per cell, no grid substrate."""
+    runner = ScenarioRunner()
+    return [runner.run(s) for s in scenarios]
+
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
 def test_serial_fork_pool_and_cache_rows_identical(pinned_scenarios,
                                                    tmp_path):
-    serial = ScenarioRunner().run_grid(pinned_scenarios, processes=1)
-    forked = ScenarioRunner().run_grid(pinned_scenarios, processes=2)
+    serial = run_serially(pinned_scenarios)
+    forked = ScenarioRunner().run_grid(
+        pinned_scenarios, parallel=2,
+        start_method="fork" if HAS_FORK else None)
 
     store = SweepStore(str(tmp_path / "store"))
     pooled = ScenarioRunner().run_grid(pinned_scenarios, parallel=2,
@@ -117,7 +129,7 @@ def test_serial_fork_pool_and_cache_rows_identical(pinned_scenarios,
 
 
 def test_pool_without_store_matches_serial(pinned_scenarios):
-    serial = ScenarioRunner().run_grid(pinned_scenarios, processes=1)
+    serial = run_serially(pinned_scenarios)
     pooled = ScenarioRunner().run_grid(pinned_scenarios, parallel=2)
     assert rows_of(pooled) == rows_of(serial)
 
@@ -150,7 +162,7 @@ def test_spawn_rows_identical_with_runtime_registered_model(
     The rows must still be bit-identical to every other path, and a store
     populated under spawn must serve a warm fork/serial run.
     """
-    serial = ScenarioRunner().run_grid(pinned_scenarios, processes=1)
+    serial = run_serially(pinned_scenarios)
     store = SweepStore(str(tmp_path / "store"))
     spawned = ScenarioRunner().run_grid(pinned_scenarios, parallel=2,
                                         store=store, start_method="spawn")
@@ -163,9 +175,9 @@ def test_spawn_rows_identical_with_runtime_registered_model(
 
 
 def test_remote_warm_rows_identical(pinned_scenarios, tmp_path):
-    """The sixth path: every cell served read-through from a remote
-    server into an empty local cache must be bit-identical to serial."""
-    serial = ScenarioRunner().run_grid(pinned_scenarios, processes=1)
+    """Every cell served read-through from a remote server into an
+    empty local cache must be bit-identical to serial."""
+    serial = run_serially(pinned_scenarios)
     publisher = SweepStore(str(tmp_path / "publisher"))
     ScenarioRunner().run_grid(pinned_scenarios, parallel=2,
                               store=publisher)
@@ -181,12 +193,12 @@ def test_remote_warm_rows_identical(pinned_scenarios, tmp_path):
 
 
 def test_cross_host_warm_rows_identical(pinned_scenarios, tmp_path):
-    """The eighth path: rows that crossed hosts through the coordination
-    plane.  Host A sweeps against the hub (remote compute leases claimed,
-    every computed cell published at record time); host B, cold and on a
+    """Rows that crossed hosts through the coordination plane.  Host A
+    sweeps against the hub (remote compute leases claimed, every
+    computed cell published at record time); host B, cold and on a
     different store root, must then be served every cell from the hub —
     bit-identical to serial, with zero re-simulations anywhere."""
-    serial = ScenarioRunner().run_grid(pinned_scenarios, processes=1)
+    serial = run_serially(pinned_scenarios)
     with StoreServer(str(tmp_path / "hub"), port=0) as server:
         host_a = SweepStore(str(tmp_path / "host-a"), remote=server.url)
         computed = ScenarioRunner().run_grid(pinned_scenarios, parallel=2,
@@ -206,7 +218,7 @@ def test_cross_host_warm_rows_identical(pinned_scenarios, tmp_path):
 
 def test_chaos_rows_identical_under_injected_faults(pinned_scenarios,
                                                     tmp_path, monkeypatch):
-    """The seventh path: crashes and backend faults must not cost a bit.
+    """Crashes and backend faults must not cost a bit.
 
     The remote tier corrupts the first read, truncates the second and
     errors the third (so three cells re-simulate while two serve
@@ -227,7 +239,7 @@ def test_chaos_rows_identical_under_injected_faults(pinned_scenarios,
         run_batch,
     )
 
-    serial = ScenarioRunner().run_grid(pinned_scenarios, processes=1)
+    serial = run_serially(pinned_scenarios)
     publisher = SweepStore(str(tmp_path / "publisher"))
     ScenarioRunner().run_grid(pinned_scenarios, parallel=2,
                               store=publisher)
@@ -270,10 +282,16 @@ def test_chaos_rows_identical_under_injected_faults(pinned_scenarios,
 
 
 def test_explicit_serial_start_method_matches(pinned_scenarios):
-    serial = ScenarioRunner().run_grid(pinned_scenarios, processes=1)
+    serial = run_serially(pinned_scenarios)
     inproc = ScenarioRunner().run_grid(pinned_scenarios, parallel=4,
                                        start_method="serial")
     assert rows_of(inproc) == rows_of(serial)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_nonpositive_jobs_is_rejected(pinned_scenarios, jobs):
+    with pytest.raises(ConfigError, match="at least 1"):
+        ScenarioRunner().run_grid(pinned_scenarios, parallel=jobs)
 
 
 def test_unknown_start_method_is_rejected(pinned_scenarios):
@@ -318,7 +336,7 @@ def test_spawn_rows_identical_with_runtime_schedule_policy(
                      2, 1, bandwidth_gbps=10.0),
         Scenario(model=MODEL, schedule_policy=POLICY),
     ]
-    serial = ScenarioRunner().run_grid(scenarios, processes=1)
+    serial = run_serially(scenarios)
     store = SweepStore(str(tmp_path / "store"))
     spawned = ScenarioRunner().run_grid(scenarios, parallel=2, store=store,
                                         start_method="spawn")
