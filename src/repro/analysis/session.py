@@ -219,8 +219,8 @@ class WhatIfSession:
         bit-identical to transforming and simulating each cell's graph
         from scratch.
 
-        ``scheduler`` must be heap-friendly (a
-        :class:`~repro.core.simulate.SchedulePolicy` or ``None``).
+        ``scheduler`` is a :class:`~repro.core.simulate.SchedulePolicy`
+        or ``None``; anything else raises ``TypeError``.
         """
         return _compiled_simulate_many(self.compiled_baseline(), list(cells),
                                        scheduler)

@@ -6,7 +6,6 @@ from repro.core.construction import build_graph
 from repro.core.mapping import map_tasks_to_layers
 from repro.core.simulate import (
     SchedulePolicy,
-    Scheduler,
     SimulationResult,
     make_priority_scheduler,
     simulate,
@@ -22,7 +21,6 @@ __all__ = [
     "map_tasks_to_layers",
     "SimulationResult",
     "SchedulePolicy",
-    "Scheduler",
     "make_priority_scheduler",
     "simulate",
     "RuntimeBreakdown",

@@ -3,14 +3,14 @@
 Walking the object graph per dispatched task means Python attribute
 lookups and dict probes in the hot loop.  This module lowers a
 :class:`~repro.core.graph.DependencyGraph` once into flat, densely indexed
-arrays and runs Algorithm 1 over integers — the production engine behind
-every ``simulate()`` with a ``SchedulePolicy``:
+arrays and runs Algorithm 1 over integers — the one engine behind every
+``simulate()``:
 
 * **stable ordinals** — every task gets a dense ordinal assigned
   thread-major (threads in sorted order, tasks in linked-list order
   within each thread).  Ordinals are a pure function of the graph *data*,
-  never of allocation addresses, and both simulation engines break
-  feasible-start ties on them — which is what makes simulation results
+  never of allocation addresses, and the engine breaks feasible-start
+  ties on them — which is what makes simulation results
   allocation-independent (the historical fig10 "last-ulp tie" drift came
   from ``id()``-ordered successor-set iteration);
 * **struct-of-arrays** — per-ordinal ``duration`` / ``gap`` /
@@ -59,10 +59,6 @@ else:
     except ImportError:  # pragma: no cover - exercised via the env gate
         _np = None
 
-#: whether the soft numpy dependency resolved (the array engine runs —
-#: bit-identically — either way; numpy only accelerates bulk array ops)
-HAVE_NUMPY = _np is not None
-
 
 def _float_array(values: Sequence[float]):
     """A float64 struct-of-arrays column (numpy, or ``array('d')``)."""
@@ -80,23 +76,6 @@ def _int_array(values: Sequence[int]):
 
 #: shared empty successor row (never mutated by the engine)
 _EMPTY_ROW: List[int] = []
-
-
-def stable_ordinals(graph) -> Dict[Task, int]:
-    """Dense, allocation-independent ordinals: topological-by-thread.
-
-    Threads are enumerated in their sorted order and each thread's tasks
-    in linked-list order, so two graphs with identical *data* assign
-    identical ordinals no matter how their Task objects were allocated.
-    Within every ordered thread the numbering is topological; across
-    threads it is the deterministic total order both engines use to break
-    scheduling ties.
-    """
-    ordinal: Dict[Task, int] = {}
-    for thread in graph.threads():
-        for task in graph.iter_tasks_on(thread):
-            ordinal[task] = len(ordinal)
-    return ordinal
 
 
 @dataclass
@@ -279,12 +258,21 @@ class CompiledGraph:
     def policy_keys(self, policy) -> Optional[List[float]]:
         """Per-ordinal secondary sort keys for a ``SchedulePolicy``.
 
-        ``None`` means every key is 0.0 (the default policy), letting the
-        engine skip the column entirely.
+        ``None`` means every key is 0.0 (no policy, or the default one),
+        letting the engine skip the column entirely.
+
+        Raises:
+            TypeError: if ``policy`` is neither ``None`` nor a
+                ``SchedulePolicy``.
         """
         from repro.core.simulate import SchedulePolicy
-        if type(policy) is SchedulePolicy:
+        if policy is None or type(policy) is SchedulePolicy:
             return None
+        if not isinstance(policy, SchedulePolicy):
+            raise TypeError(
+                f"scheduler must be a SchedulePolicy, got {policy!r}; "
+                "subclass repro.core.simulate.SchedulePolicy and override "
+                "key(task) to reorder dispatch")
         key = policy.key
         return [key(task) for task in self.tasks]
 
@@ -295,11 +283,10 @@ class CompiledGraph:
 
         ``duration``/``gap`` override the baseline columns (plain lists,
         ordinal-indexed) — this is how :func:`simulate_many` re-runs the
-        engine under a cell's sparse delta without re-lowering.
+        engine under a cell's sparse delta without re-lowering.  A
+        ``policy`` that is not a ``SchedulePolicy`` raises ``TypeError``.
         """
-        from repro.core.simulate import SchedulePolicy, SimulationResult
-        if policy is None:
-            policy = SchedulePolicy()
+        from repro.core.simulate import SimulationResult
         pkeys = self.policy_keys(policy)
         starts, makespan, busy_lists = _run_arrays(
             len(self.tasks),
@@ -560,7 +547,8 @@ def simulate_many(compiled: CompiledGraph, cells: Sequence[CellDelta],
 
     Returns one ``SimulationResult`` per cell, in cell order,
     bit-identical to lowering and simulating each patched graph from
-    scratch.
+    scratch.  A ``policy`` that is not a ``SchedulePolicy`` raises
+    ``TypeError``.
     """
     ordinal = compiled.ordinal
     results = []

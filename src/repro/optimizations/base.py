@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
 from repro.core.graph import DependencyGraph
-from repro.core.simulate import Scheduler
+from repro.core.simulate import SchedulePolicy
 from repro.hw.device import (
     CPU_EPYC_7601,
     GPU_2080TI,
@@ -113,7 +113,7 @@ class WhatIfOutcome:
     """
 
     graph: DependencyGraph
-    scheduler: Optional[Scheduler] = None
+    scheduler: Optional[SchedulePolicy] = None
 
 
 class OptimizationModel(abc.ABC):

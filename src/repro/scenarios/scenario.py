@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.common.errors import ConfigError
-from repro.core.simulate import Scheduler, make_priority_scheduler
+from repro.core.simulate import SchedulePolicy, make_priority_scheduler
 from repro.framework.config import TrainingConfig
 from repro.hw.device import CPUSpec, GPUSpec, get_cpu, get_gpu
 from repro.hw.network import NetworkSpec
@@ -42,7 +42,7 @@ from repro.scenarios.registry import (
 DeviceDecl = Union[str, Dict[str, object]]
 
 #: named schedule policies addressable from scenario files
-NAMED_SCHEDULE_POLICIES: Dict[str, Callable[[], Scheduler]] = {
+NAMED_SCHEDULE_POLICIES: Dict[str, Callable[[], SchedulePolicy]] = {
     "comm_priority": lambda: make_priority_scheduler(lambda t: t.is_comm),
 }
 
@@ -53,14 +53,15 @@ _BUILTIN_SCHEDULE_POLICIES = dict(NAMED_SCHEDULE_POLICIES)
 
 
 def register_schedule_policy(name: str,
-                             factory: Callable[[], Scheduler],
+                             factory: Callable[[], SchedulePolicy],
                              overwrite: bool = False) -> None:
     """Register a named schedule policy addressable from scenario files.
 
     ``factory`` is a zero-argument callable returning a fresh
-    :class:`~repro.core.simulate.Scheduler`.  Like runtime-registered
-    models, registrations are runtime state: fork workers inherit them,
-    and spawn workers rebuild them from the pickled
+    :class:`~repro.core.simulate.SchedulePolicy` (checked when a scenario
+    builds it; see :meth:`Scenario.build_schedule_policy`).  Like
+    runtime-registered models, registrations are runtime state: fork
+    workers inherit them, and spawn workers rebuild them from the pickled
     :class:`~repro.scenarios.batch.WorkerManifest` — which requires the
     factory to be an importable module-level callable, not a closure.
     """
@@ -75,7 +76,7 @@ def register_schedule_policy(name: str,
     NAMED_SCHEDULE_POLICIES[name] = factory
 
 
-def runtime_schedule_policies() -> Dict[str, Callable[[], Scheduler]]:
+def runtime_schedule_policies() -> Dict[str, Callable[[], SchedulePolicy]]:
     """Policies added after import — what a spawn worker must rebuild.
 
     Compared by factory *identity*, not name: a builtin overwritten via
@@ -94,7 +95,7 @@ class _NamedSchedulePolicy(OptimizationModel):
     #: lets pipeline validation catch scheduler conflicts at construction
     provides_scheduler = True
 
-    def __init__(self, key: str, scheduler: Scheduler) -> None:
+    def __init__(self, key: str, scheduler: SchedulePolicy) -> None:
         self.name = f"schedule[{key}]"
         self.scheduler = scheduler
 
@@ -249,11 +250,22 @@ class Scenario:
             return None
         return self.cluster.build(default_gpu=self.build_config().gpu)
 
-    def build_schedule_policy(self) -> Optional[Scheduler]:
-        """The named simulator schedule override, if any."""
+    def build_schedule_policy(self) -> Optional[SchedulePolicy]:
+        """The named simulator schedule override, if any.
+
+        Raises:
+            ConfigError: if the registered factory returns anything but a
+                :class:`~repro.core.simulate.SchedulePolicy`.
+        """
         if self.schedule_policy is None:
             return None
-        return NAMED_SCHEDULE_POLICIES[self.schedule_policy]()
+        policy = NAMED_SCHEDULE_POLICIES[self.schedule_policy]()
+        if not isinstance(policy, SchedulePolicy):
+            raise ConfigError(
+                f"schedule policy {self.schedule_policy!r} factory returned "
+                f"{policy!r}, not a SchedulePolicy (subclass "
+                "repro.core.simulate.SchedulePolicy and override key(task))")
+        return policy
 
     # ------------------------------------------------------------ convenience
 

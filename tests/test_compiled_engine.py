@@ -2,15 +2,15 @@
 
 Covers the contracts :mod:`repro.core.compiled` documents:
 
-* stable ordinals are a pure function of graph data (thread-major);
+* the stable ordinals the lowering assigns are a pure function of graph
+  data (thread-major);
 * the compiled lowering is cached per graph generation and invalidated by
   every mutation class — structural splices, edge changes, thread order
   flags, and in-place task field writes (through the write stamp) — and
   a what-if transaction hands the base lowering back on exit;
 * ``simulate_many`` answers a shared-baseline cell grid bit-identically
   to mutating and simulating each cell's graph from scratch;
-* the satellites: ``_simulate_reference`` scrubs ``_ready_us`` on failure,
-  and ``SimulationResult.critical_tasks`` orders duration ties by ordinal.
+* ``SimulationResult.critical_tasks`` orders duration ties by ordinal.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.core.compiled import (
     CompiledGraph,
     compiled_for,
     simulate_many,
-    stable_ordinals,
 )
 from repro.core.graph import DependencyGraph
 from repro.core.simulate import make_priority_scheduler, simulate
@@ -57,12 +56,14 @@ def small_graph():
 class TestStableOrdinals:
     def test_thread_major_dense_numbering(self):
         g = small_graph()
-        ordinals = stable_ordinals(g)
+        compiled = CompiledGraph.build(g)
+        ordinals = compiled.ordinal
         assert sorted(ordinals.values()) == list(range(len(g)))
         expected = 0
         for thread in g.threads():
             for task in g.iter_tasks_on(thread):
                 assert ordinals[task] == expected
+                assert compiled.tasks[expected] is task
                 expected += 1
 
     def test_ordinals_are_allocation_independent(self):
@@ -80,8 +81,10 @@ class TestStableOrdinals:
             return g
 
         fwd, rev = build(False), build(True)
-        by_pos_fwd = {o: t.name for t, o in stable_ordinals(fwd).items()}
-        by_pos_rev = {o: t.name for t, o in stable_ordinals(rev).items()}
+        by_pos_fwd = {o: t.name
+                      for t, o in CompiledGraph.build(fwd).ordinal.items()}
+        by_pos_rev = {o: t.name
+                      for t, o in CompiledGraph.build(rev).ordinal.items()}
         assert by_pos_fwd == by_pos_rev
 
 
@@ -181,8 +184,9 @@ class TestSimulateMany:
         assert len(results) == len(cells)
         for cell, result in zip(cells, results):
             scratch = g.copy()
-            by_ordinal = {o: t for t, o in stable_ordinals(scratch).items()}
-            ordinals = stable_ordinals(g)
+            scratch_ordinals = compiled_for(scratch).ordinal
+            by_ordinal = {o: t for t, o in scratch_ordinals.items()}
+            ordinals = compiled_for(g).ordinal
             for task, value in cell.durations.items():
                 by_ordinal[ordinals[task]].duration = value
             for task, value in cell.gaps.items():
@@ -192,7 +196,7 @@ class TestSimulateMany:
             starts_by_ordinal = {ordinals[t]: s
                                  for t, s in result.start_us.items()}
             expected_by_ordinal = {
-                stable_ordinals(scratch)[t]: s
+                scratch_ordinals[t]: s
                 for t, s in expected.start_us.items()}
             assert starts_by_ordinal == expected_by_ordinal
 
@@ -257,38 +261,6 @@ class TestSimulateMany:
 
 
 class TestSatelliteRegressions:
-    def test_reference_engine_scrubs_ready_us_on_scheduler_error(self):
-        """`_ready_us` must not leak when SimulationError raises mid-run."""
-        g = small_graph()
-        stranger = make_task("stranger", cpu_thread(9), 1.0)
-
-        def bad_scheduler(frontier, progress):
-            if len(progress) and frontier:  # dispatch a foreign task
-                return stranger
-            return frontier[0]
-
-        with pytest.raises(SimulationError, match="outside the frontier"):
-            simulate(g, bad_scheduler)
-        for task in g.tasks():
-            assert "_ready_us" not in task.metadata
-
-    def test_reference_engine_scrubs_ready_us_on_deadlock(self):
-        g = DependencyGraph()
-        channel = comm_channel(0)
-        g.mark_unordered(channel)
-        a = g.append(make_task("a", channel, 1.0, kind=TaskKind.COMM))
-        b = g.append(make_task("b", channel, 1.0, kind=TaskKind.COMM))
-        g.add_dependency(a, b)
-        g.add_dependency(b, a)
-
-        def first(frontier, progress):
-            return frontier[0]
-
-        with pytest.raises(SimulationError, match="deadlock"):
-            simulate(g, first)
-        assert "_ready_us" not in a.metadata
-        assert "_ready_us" not in b.metadata
-
     def test_critical_tasks_breaks_duration_ties_by_ordinal(self):
         g = DependencyGraph()
         # same duration everywhere: the ranking must come out in ordinal
@@ -300,7 +272,6 @@ class TestSatelliteRegressions:
                for i in range(3)]
         expected = [t.name for t in cpu + gpu]  # cpu threads sort first
         for engine_result in (simulate(g), CompiledGraph.build(g).run()):
-            assert engine_result.ordinals is not None
             names = [t.name for t in engine_result.critical_tasks(top=6)]
             assert names == expected
         top2 = [t.name for t in simulate(g).critical_tasks(top=2)]

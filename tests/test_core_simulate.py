@@ -71,15 +71,29 @@ class TestDependencies:
         assert res.start_us[sync] == 11.0
         assert res.makespan_us == 12.0
 
-    def test_deadlock_detected(self):
+    @pytest.mark.parametrize("unordered, scheduler", [
+        (False, None),
+        (True, None),
+        (True, make_priority_scheduler(lambda t: t.is_comm)),
+    ], ids=["ordered-cross-thread", "unordered-channel",
+            "unordered-channel-priority"])
+    def test_deadlock_detected(self, unordered, scheduler):
+        """A cycle deadlocks every engine branch: the all-ordered worklist,
+        the default heap and the policy-keyed heap."""
         g = DependencyGraph()
-        a = g.append(make_task("a", thread=cpu_thread(0)))
-        b = g.append(make_task("b", thread=gpu_stream(0),
-                               kind=TaskKind.GPU_KERNEL))
+        if unordered:
+            channel = comm_channel(0)
+            g.mark_unordered(channel)
+            a = g.append(make_task("a", thread=channel, kind=TaskKind.COMM))
+            b = g.append(make_task("b", thread=channel, kind=TaskKind.COMM))
+        else:
+            a = g.append(make_task("a", thread=cpu_thread(0)))
+            b = g.append(make_task("b", thread=gpu_stream(0),
+                                   kind=TaskKind.GPU_KERNEL))
         g.add_dependency(a, b)
         g.add_dependency(b, a)
-        with pytest.raises(SimulationError):
-            simulate(g)
+        with pytest.raises(SimulationError, match="deadlock"):
+            simulate(g, scheduler)
 
     def test_empty_graph(self):
         assert simulate(DependencyGraph()).makespan_us == 0.0
@@ -87,15 +101,25 @@ class TestDependencies:
 
 class TestSchedulers:
     def test_bad_scheduler_rejected(self):
+        """A plain callable is not a schedule policy on any entry point."""
+        from helpers import make_tiny_model
+        from repro.analysis.session import WhatIfSession
+        from repro.core.compiled import CellDelta, compiled_for, simulate_many
+
         g = DependencyGraph()
         g.append(make_task("a"))
-        rogue = make_task("rogue")
 
         def bad(frontier, progress):
-            return rogue
+            return frontier[0]
 
-        with pytest.raises(SimulationError):
+        match = "subclass .*SchedulePolicy and override key"
+        with pytest.raises(TypeError, match=match):
             simulate(g, bad)
+        with pytest.raises(TypeError, match=match):
+            simulate_many(compiled_for(g), [CellDelta()], bad)
+        session = WhatIfSession.from_model(make_tiny_model())
+        with pytest.raises(TypeError, match=match):
+            session.simulate_many([CellDelta()], bad)
 
     def test_priority_scheduler_orders_unordered_channel(self):
         g = DependencyGraph()
@@ -147,12 +171,6 @@ class TestSimulationResult:
         g.append(make_task("long", duration=9.0))
         top = simulate(g).critical_tasks(top=1)
         assert top[0].name == "long"
-
-    def test_internal_marker_cleaned_up(self):
-        g = DependencyGraph()
-        t = g.append(make_task("a"))
-        simulate(g)
-        assert "_ready_us" not in t.metadata
 
 
 # --------------------------------------------------------------- properties

@@ -21,7 +21,8 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_simulator_equivalence import naive_simulate, random_graph
+from helpers import naive_simulate
+from test_simulator_equivalence import random_graph
 
 from repro.analysis.session import WhatIfSession
 from repro.common.errors import GraphConsistencyError
@@ -289,7 +290,7 @@ def _assert_matches_reference(graph, reference):
     task by thread-major position, under both schedules."""
     ours, theirs = graph.tasks(), reference.tasks()
     assert len(ours) == len(theirs)
-    for result, (ref_start, ref_makespan) in (
+    for result, (ref_start, ref_makespan, _) in (
             (simulate(graph), naive_simulate(reference)),
             (simulate(graph, make_priority_scheduler(_prioritized)),
              naive_simulate(reference, key=lambda t: (

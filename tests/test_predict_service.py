@@ -13,6 +13,7 @@ staleness regressions (a re-registered model builder, a rotated registry
 fingerprint) fail on the old trusting code.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -207,6 +208,42 @@ def test_cells_batch_runs_on_the_shared_lowering():
         [p.predicted_us for p in direct]
 
 
+def test_cells_with_callable_schedule_policy_is_a_400_that_keeps_the_session(
+        monkeypatch):
+    """A policy factory returning a plain callable is bad input, not an
+    engine failure: 400, and the warm session stays in the pool."""
+    from repro.scenarios import (
+        NAMED_SCHEDULE_POLICIES,
+        register_schedule_policy,
+    )
+
+    def first_in_frontier(frontier, progress):
+        return frontier[0]
+
+    register_schedule_policy("legacy_fifo", lambda: first_in_frontier)
+    try:
+        service = PredictService()
+        evicted = []
+        monkeypatch.setattr(service.pool, "evict", evicted.append)
+        cells = [{"label": "asis"}]
+        with PredictServer(service) as server:
+            ok_status, _ = post(server.url, "/predict/batch",
+                                {"scenario": {"model": MODEL},
+                                 "cells": cells})
+            assert ok_status == 200
+            status, body = post(server.url, "/predict/batch",
+                                {"scenario": {"model": MODEL,
+                                              "schedule_policy": "legacy_fifo"},
+                                 "cells": cells})
+        assert status == 400
+        assert "legacy_fifo" in body["error"]
+        assert evicted == []
+        assert service.pool.stats()["built"] == 1
+        assert service.pool.stats()["live"] == 1
+    finally:
+        del NAMED_SCHEDULE_POLICIES["legacy_fifo"]
+
+
 def test_cells_with_unknown_task_name_is_a_400():
     service = PredictService()
     with pytest.raises(ServiceError) as excinfo:
@@ -280,10 +317,22 @@ def test_unknown_model_is_a_400():
 
 
 def test_oversized_body_is_a_413():
+    """An over-cap ``Content-Length`` is refused before a byte is read.
+
+    The length is declared without sending the body: a client still
+    uploading when the server answers and closes can see a broken pipe
+    instead of the 413.
+    """
     with PredictServer(PredictService()) as server:
-        status, body = post(server.url, "/predict", None,
-                            raw=b"x" * (MAX_REQUEST_BYTES + 1))
-    assert status == 413
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=5.0)
+        try:
+            conn.putrequest("POST", "/predict", skip_accept_encoding=True)
+            conn.putheader("Content-Length", str(MAX_REQUEST_BYTES + 1))
+            conn.endheaders()
+            assert conn.getresponse().status == 413
+        finally:
+            conn.close()
 
 
 def test_unknown_endpoint_is_a_404():

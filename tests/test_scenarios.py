@@ -317,6 +317,27 @@ class TestScenarioRunner:
                 model="resnet50", batch_size=2,
                 optimizations=["distributed_training"]))
 
+    def test_callable_schedule_policy_is_a_config_error(self):
+        """A registered factory returning a plain ``(frontier, progress)``
+        callable names its policy in a ConfigError instead of running."""
+        from repro.scenarios import (
+            NAMED_SCHEDULE_POLICIES,
+            register_schedule_policy,
+        )
+
+        def first_in_frontier(frontier, progress):
+            return frontier[0]
+
+        register_schedule_policy("legacy_fifo", lambda: first_in_frontier)
+        try:
+            scenario = Scenario(model="resnet50", batch_size=2,
+                                schedule_policy="legacy_fifo")
+            with pytest.raises(ConfigError,
+                               match="'legacy_fifo'.*not a SchedulePolicy"):
+                ScenarioRunner().run(scenario)
+        finally:
+            del NAMED_SCHEDULE_POLICIES["legacy_fifo"]
+
     def test_run_grid_rejects_missing_cluster_upfront(self, monkeypatch):
         import repro.scenarios.batch as batch
 
