@@ -17,20 +17,20 @@ This package is the single front door for running what-if analyses:
 * :mod:`repro.scenarios.batch` — the multiprocess batch executor fanning
   grids across a process pool (fork or spawn start methods; spawn workers
   rebuild runtime registrations from a :class:`WorkerManifest`) with
-  store-backed resume and per-cell lease dedupe across concurrent sweeps;
+  store-backed resume, one :class:`ComputeLease` claim per missing cell
+  for dedupe across concurrent sweeps, and the env-gated
+  :func:`maybe_kill_worker` chaos hook (:data:`KILL_PLAN_ENV`; the
+  fault-injection harness that drives it lives in ``tests/faults.py``,
+  and ``docs/robustness.md`` is the failure-mode contract);
 * :mod:`repro.scenarios.backends` — the pluggable storage tiers behind
   the store: the :class:`StoreBackend` protocol, the on-disk
   :class:`LocalBackend`, the read-through :class:`HTTPBackend` remote
-  tier with its :class:`StoreServer` (``repro store serve``), and the
-  :class:`FileLease` coordination primitive;
+  tier with its :class:`StoreServer` (``repro store serve``), the
+  :class:`FileLease` coordination primitive, and the HTTP server and
+  handler base both repro HTTP surfaces share;
 * :mod:`repro.scenarios.retry` — the unified :class:`RetryPolicy`
   (exponential backoff, deterministic seeded jitter, attempt/deadline
   caps) every transient-fault path shares;
-* :mod:`repro.scenarios.faults` — the deterministic fault-injection
-  harness: JSON-describable :class:`FaultPlan` rules driving a
-  :class:`FaultInjectingBackend` wrapper, plus the env-gated
-  :class:`KillPlan` worker-crash hook the chaos suite uses
-  (``docs/robustness.md`` is the failure-mode contract);
 * :mod:`repro.scenarios.service` — the interactive prediction daemon
   (``repro serve-predict``): a :class:`PredictService` holding an LRU
   :class:`SessionPool` of warm sessions, memoized on the sweep store,
@@ -62,21 +62,14 @@ from repro.scenarios.backends import (
 )
 from repro.scenarios.batch import (
     DEFAULT_MAX_CELL_RETRIES,
+    KILL_PLAN_ENV,
     START_METHODS,
     BatchReport,
     CellFailure,
     SweepCell,
     WorkerManifest,
-    run_batch,
-)
-from repro.scenarios.faults import (
-    KILL_PLAN_ENV,
-    FaultInjectingBackend,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    KillPlan,
     maybe_kill_worker,
+    run_batch,
 )
 from repro.scenarios.pipeline import OptimizationPipeline, PipelineError
 from repro.scenarios.registry import (
@@ -155,11 +148,6 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "no_retry",
     "sync_retry_policy",
-    "FaultPlan",
-    "FaultRule",
-    "FaultInjectingBackend",
-    "InjectedFault",
-    "KillPlan",
     "KILL_PLAN_ENV",
     "maybe_kill_worker",
     "GCReport",

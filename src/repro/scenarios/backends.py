@@ -17,10 +17,14 @@ the reader, not the transport.  This module defines that seam:
   degrade to ``None`` on *any* transport trouble (unreachable host,
   timeout, mid-body truncation), so a flaky remote can cost a cache miss
   but never a crash;
-* :class:`StoreServer` — the matching stdlib ``http.server`` front end
-  (``repro store serve``) publishing a local store to other hosts, now a
-  *coordination plane*: server-held compute leases (``POST
-  /leases/<key>``), delta key listings (``GET /keys?since=``),
+* :class:`HTTPHandlerBase` / :class:`HTTPServerBase` — the one stdlib
+  ``http.server`` shell (response framing, body framing, ``Bearer``
+  auth, bind / serve / shutdown) that both repro HTTP surfaces
+  subclass;
+* :class:`StoreServer` — the matching front end (``repro store serve``)
+  publishing a local store to other hosts, now a *coordination plane*:
+  server-held compute leases (``POST /leases/<key>``), delta key
+  listings (``GET /keys?since=``),
   checksum-``ETag`` conditional GETs, a ``GET /stats`` operability
   probe, and an optional token-authenticated admin mode gating
   ``PUT``/``DELETE``;
@@ -55,6 +59,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
+from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (Dict, Iterator, List, Optional, Protocol, Tuple,
                     runtime_checkable)
@@ -76,54 +81,171 @@ KEY_RE = re.compile(r"^[0-9a-f]{32}$")
 MAX_BODY_BYTES = 64 << 20
 
 
-def bearer_authorized(headers, token: Optional[str]) -> bool:
-    """Whether a request's ``Authorization`` header satisfies ``token``.
-
-    The shared auth check of every repro HTTP surface (the store server's
-    admin mode and the prediction service's request gating): with no
-    ``token`` configured every request passes; otherwise the header must
-    carry the matching ``Bearer`` token, compared constant-time so a
-    wrong token leaks nothing about the right one.
-    """
-    if not token:
-        return True
-    header = headers.get("Authorization") or ""
-    presented = header[len("Bearer "):] \
-        if header.startswith("Bearer ") else ""
-    return hmac.compare_digest(presented, token)
-
-
-def read_framed_body(handler, cap: int = MAX_BODY_BYTES
-                     ) -> Tuple[Optional[bytes], Optional[int]]:
-    """Read one HTTP request body, validated against its declared length.
-
-    The shared framing helper of every repro HTTP handler.  Returns
-    ``(data, None)`` on success.  On a framing problem the error response
-    has *already been sent* and ``(None, status)`` reports which: a
-    missing/unparseable/negative ``Content-Length`` is a 400, a declared
-    length over ``cap`` is a 413 (refused before reading a byte), and a
-    client that died mid-upload leaving fewer bytes than declared is a
-    400 — a short read must never be processed as a whole body.
-    """
-    raw = handler.headers.get("Content-Length")
+def _json_or_none(body: bytes) -> object:
+    """A JSON answer body, or ``None`` when it does not parse."""
     try:
-        length = int(raw) if raw is not None else -1
+        return json.loads(body.decode("utf-8"))
     except ValueError:
-        length = -1
-    if length < 0:
-        handler.close_connection = True
-        handler._send(400, b'{"error": "bad content-length"}')
-        return None, 400
-    if length > cap:
-        handler.close_connection = True
-        handler._send(413, b'{"error": "body too large"}')
-        return None, 413
-    data = handler.rfile.read(length)
-    if len(data) != length:
-        handler.close_connection = True  # the stream is now unframed
-        handler._send(400, b'{"error": "body shorter than declared"}')
-        return None, 400
-    return data, None
+        return None
+
+
+class HTTPHandlerBase(BaseHTTPRequestHandler):
+    """The request-handler base of every repro HTTP surface.
+
+    :class:`StoreServer` and
+    :class:`~repro.scenarios.service.PredictServer` handlers share one
+    response shape (:meth:`_send` / :meth:`_send_json`), one body-framing
+    check (:meth:`_read_body`), one auth check (:meth:`_authorized`) and
+    silent per-request logging; each subclass adds only its routes and
+    its ``server_version``.
+    """
+
+    # set by the server on the subclass it builds per server instance
+    auth_token: Optional[str] = None
+
+    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
+        """Silence per-request stderr logging (the CLI prints a summary)."""
+
+    def _send(self, code: int, body: bytes = b"",
+              content_type: str = "application/json",
+              etag: Optional[str] = None) -> None:
+        """One framed response (no body bytes on a ``HEAD``)."""
+        self.send_response(code)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if etag is not None:
+            self.send_header("ETag", f'"{etag}"')
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def _send_json(self, code: int, payload: object) -> None:
+        """One JSON response."""
+        self._send(code, json.dumps(payload).encode("utf-8"))
+
+    def _read_body(self, cap: int = MAX_BODY_BYTES
+                   ) -> Tuple[Optional[bytes], Optional[int]]:
+        """Read the request body, validated against its declared length.
+
+        Returns ``(data, None)`` on success.  On a framing problem the
+        error response has *already been sent* and ``(None, status)``
+        reports which: a missing/unparseable/negative ``Content-Length``
+        is a 400, a declared length over ``cap`` is a 413 (refused before
+        reading a byte), and a client that died mid-upload leaving fewer
+        bytes than declared is a 400 — a short read must never be
+        processed as a whole body.
+        """
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw) if raw is not None else -1
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._send(400, b'{"error": "bad content-length"}')
+            return None, 400
+        if length > cap:
+            self.close_connection = True
+            self._send(413, b'{"error": "body too large"}')
+            return None, 413
+        data = self.rfile.read(length)
+        if len(data) != length:
+            self.close_connection = True  # the stream is now unframed
+            self._send(400, b'{"error": "body shorter than declared"}')
+            return None, 400
+        return data, None
+
+    def _authorized(self) -> bool:
+        """Whether the ``Authorization`` header satisfies ``auth_token``.
+
+        The store server's admin mode and the prediction service's
+        request gating: with no token configured every request passes;
+        otherwise the header must carry the matching ``Bearer`` token,
+        compared constant-time so a wrong token leaks nothing about the
+        right one.
+        """
+        if not self.auth_token:
+            return True
+        header = self.headers.get("Authorization") or ""
+        presented = header[len("Bearer "):] \
+            if header.startswith("Bearer ") else ""
+        return hmac.compare_digest(presented, self.auth_token)
+
+
+class HTTPServerBase:
+    """One :class:`http.server.ThreadingHTTPServer`, bound and served.
+
+    The shell shared by :class:`StoreServer` and
+    :class:`~repro.scenarios.service.PredictServer`: a subclass builds its
+    bound handler class and passes it in with a bind address and a port
+    (``0`` picks a free one).  Then either :meth:`serve` in the
+    foreground — optionally for a bounded ``duration`` — or :meth:`start`
+    a daemon thread and :meth:`shutdown` later (what the tests do).  A
+    bind failure raises :class:`BackendError` naming the server's
+    ``label``.
+    """
+
+    #: how a bind failure names this server
+    label = "server"
+
+    def __init__(self, handler: type, host: str, port: int) -> None:
+        try:
+            self._server = ThreadingHTTPServer((host, port), handler)
+        except OSError as exc:
+            raise BackendError(
+                f"cannot bind {self.label} to {host}:{port}: {exc}"
+            ) from None
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def host(self) -> str:
+        """The bound host address."""
+        return self._server.server_address[0]
+
+    @property
+    def port(self) -> int:
+        """The bound port (useful with ``port=0``)."""
+        return self._server.server_address[1]
+
+    @property
+    def url(self) -> str:
+        """The base URL clients talk to."""
+        return f"http://{self.host}:{self.port}"
+
+    def serve(self, duration_s: Optional[float] = None) -> None:
+        """Serve in the foreground, forever or for ``duration_s`` seconds."""
+        if duration_s is not None:
+            timer = threading.Timer(duration_s, self._server.shutdown)
+            timer.daemon = True
+            timer.start()
+        try:
+            self._server.serve_forever(poll_interval=0.05)
+        finally:
+            self._server.server_close()
+
+    def start(self) -> "HTTPServerBase":
+        """Serve on a daemon thread; returns self for chaining."""
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05},
+                                        daemon=True)
+        self._thread.start()
+        return self
+
+    def shutdown(self) -> None:
+        """Stop a :meth:`start`-ed server and release its socket."""
+        self._server.shutdown()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+        self._server.server_close()
+
+    def __enter__(self) -> "HTTPServerBase":
+        """Start serving on entry to a ``with`` block."""
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        """Shut the server down on exit."""
+        self.shutdown()
 
 
 class _NotModified:
@@ -560,11 +682,14 @@ class HTTPBackend:
     * ``DELETE /objects/<key>.json`` — drop one entry;
     * ``GET /keys`` — JSON list of every key the server holds.
 
-    :meth:`get` and :meth:`stat` are *read-through safe*: any transport
-    trouble — connection refused, DNS failure, timeout, a response body
-    shorter than its ``Content-Length`` — returns ``None``, so the
-    calling store records a miss and re-simulates.  A transport-level
-    failure also marks the remote *down*: reads within the down window
+    Every verb goes through one private exchange (:meth:`_exchange`),
+    the only ``urlopen`` call site, so the down-window bookkeeping below
+    holds for all of them alike.  :meth:`get` and :meth:`stat` are
+    *read-through safe*: any transport trouble — connection refused, DNS
+    failure, timeout, a response body shorter than its
+    ``Content-Length`` — returns ``None``, so the calling store records a
+    miss and re-simulates.  A transport-level failure of **any** verb
+    also marks the remote *down*: reads within the down window
     return ``None`` immediately, so an unreachable server costs one
     timeout per window, not one per grid cell.  The window is governed by
     the unified :class:`~repro.scenarios.retry.RetryPolicy` (``retry``),
@@ -574,13 +699,14 @@ class HTTPBackend:
     remote recovers on the next read while a dead one is probed
     geometrically less often.  ``backoff_s`` seeds the policy's base
     delay for back-compatibility.  (An HTTP error status is a *reachable*
-    server answering — 404 is an ordinary miss — and never touches the
-    backoff.)  **Any** successful exchange — reads *and* explicit
+    server answering — 404 is an ordinary miss — and never arms the
+    backoff.)  **Any** answered exchange — reads *and* explicit
     transfers — resets the streak and clears the down window, so a
     remote that answers a ``push`` is immediately readable again.
-    Explicit transfers (:meth:`put`, :meth:`delete`, :meth:`iter_keys`)
-    raise :class:`BackendError` instead of degrading: ``push``/``pull``
-    must fail loudly, not publish silence.
+    Explicit transfers (:meth:`fetch`, :meth:`put`, :meth:`delete`,
+    :meth:`iter_keys`, :meth:`iter_keys_since`, :meth:`stats`) raise
+    :class:`BackendError` instead of degrading: ``push``/``pull`` must
+    fail loudly, not publish silence.
 
     ``auth_token`` (``--auth-token``) is sent as a ``Bearer`` token on
     every request; servers run in admin mode require it on
@@ -622,24 +748,59 @@ class HTTPBackend:
         """The remote answered: reset the streak AND clear the window.
 
         Clearing ``_down_until`` matters as much as resetting the streak —
-        a successful explicit transfer (``put``/``delete``/``fetch``/
-        ``iter_keys``) inside a down window proves the remote is back, and
-        leaving the window armed would keep ``get``/``stat`` blind for its
-        remainder.
+        any answered exchange (an explicit ``put``/``delete``/``fetch``/
+        ``iter_keys`` included) inside a down window proves the remote is
+        back, and leaving the window armed would keep ``get``/``stat``
+        blind for its remainder.
         """
         self._backoff = self._backoff.after_success()
         self._down_until = 0.0
 
-    def _request(self, url: str, method: str, data: Optional[bytes] = None,
-                 headers: Optional[Dict[str, str]] = None
-                 ) -> urllib.request.Request:
-        """One outbound request, with the auth token attached if set."""
+    def _exchange(self, method: str, url: str, data: Optional[bytes] = None,
+                  headers: Optional[Dict[str, str]] = None
+                  ) -> Tuple[int, bytes, Message]:
+        """One HTTP round trip — the only network call site of this tier.
+
+        Attaches the ``Bearer`` token when one is set and returns
+        ``(status, body, headers)``.  An error status is a *reachable*
+        server answering (its body is dropped), so it resets the down
+        window exactly like a success; every verb then maps the status to
+        its own return value.  A transport failure — connection refused,
+        DNS, timeout, a body shorter than its ``Content-Length`` — arms
+        the down window and raises :class:`BackendError`.
+        """
         req = urllib.request.Request(url, data=data, method=method)
         if self.auth_token:
             req.add_header("Authorization", f"Bearer {self.auth_token}")
         for name, value in (headers or {}).items():
             req.add_header(name, value)
-        return req
+        try:
+            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
+                answer = (resp.status, resp.read(), resp.headers)
+        except urllib.error.HTTPError as exc:
+            answer = (exc.code, b"", exc.headers)
+        except Exception as exc:
+            self._mark_down()
+            raise BackendError(str(exc)) from None
+        self._mark_up()
+        return answer
+
+    def _transfer(self, what: str, method: str, url: str,
+                  data: Optional[bytes] = None,
+                  headers: Optional[Dict[str, str]] = None,
+                  allow: Tuple[int, ...] = ()) -> Tuple[int, bytes]:
+        """One explicit exchange: ``(status, body)`` or a loud failure.
+
+        Raises :class:`BackendError` ``"cannot <what>: ..."`` on transport
+        trouble and on any error status not listed in ``allow``.
+        """
+        try:
+            status, body, _headers = self._exchange(method, url, data, headers)
+        except BackendError as exc:
+            raise BackendError(f"cannot {what}: {exc}") from None
+        if status >= 300 and status not in allow:
+            raise BackendError(f"cannot {what}: HTTP Error {status}")
+        return status, body
 
     def url_for(self, key: str) -> str:
         """The entry URL of one content key."""
@@ -652,21 +813,15 @@ class HTTPBackend:
         if not self._reachable():
             return None
         self.journal["get"] += 1
+        url = self.url_for(key)  # a malformed key is a caller bug: raises
         try:
-            req = self._request(self.url_for(key), "GET")
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                data = resp.read()
-            self._mark_up()  # reachable: the failure streak resets
-            self.journal["entry_bodies"] += 1
-            return data
+            status, data, _headers = self._exchange("GET", url)
         except BackendError:
-            raise  # a malformed key is a caller bug, not a remote flake
-        except urllib.error.HTTPError:
-            self._mark_up()  # a reachable server saying no: ordinary miss
-            return None
-        except Exception:
-            self._mark_down()  # transport trouble: back off for a while
             return None  # unreachable/timeout/truncation: a miss, never a crash
+        if status >= 300:
+            return None  # a reachable server saying no: ordinary miss
+        self.journal["entry_bodies"] += 1
+        return data
 
     def fetch(self, key: str, etag: Optional[str] = None):
         """Entry bytes for an *explicit* transfer: loud, unlike :meth:`get`.
@@ -681,90 +836,36 @@ class HTTPBackend:
         """
         self.journal["fetch"] += 1
         headers = {"If-None-Match": f'"{etag}"'} if etag else None
-        try:
-            req = self._request(self.url_for(key), "GET", headers=headers)
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                data = resp.read()
-            self._mark_up()
-            self.journal["entry_bodies"] += 1
-            return data
-        except urllib.error.HTTPError as exc:
-            if exc.code == 304:
-                self._mark_up()
-                self.journal["fetch_not_modified"] += 1
-                return NOT_MODIFIED
-            if exc.code == 404:
-                self._mark_up()
-                return None
-            raise BackendError(
-                f"cannot fetch {key} from {self.base_url}: {exc}"
-            ) from None
-        except BackendError:
-            raise
-        except Exception as exc:
-            raise BackendError(
-                f"cannot fetch {key} from {self.base_url}: {exc}"
-            ) from None
+        status, data = self._transfer(f"fetch {key} from {self.base_url}",
+                                      "GET", self.url_for(key),
+                                      headers=headers, allow=(304, 404))
+        if status == 304:
+            self.journal["fetch_not_modified"] += 1
+            return NOT_MODIFIED
+        if status == 404:
+            return None
+        self.journal["entry_bodies"] += 1
+        return data
 
     def put(self, key: str, data: bytes) -> None:
         """Publish one entry to the remote (raises on any failure)."""
         self.journal["put"] += 1
-        req = self._request(self.url_for(key), "PUT", data=data)
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s):
-                pass
-        except urllib.error.HTTPError as exc:
-            self._mark_up()  # a refusal is still a live remote
-            raise BackendError(
-                f"cannot publish {key} to {self.base_url}: {exc}"
-            ) from None
-        except Exception as exc:
-            self._mark_down()
-            raise BackendError(
-                f"cannot publish {key} to {self.base_url}: {exc}"
-            ) from None
-        self._mark_up()
+        self._transfer(f"publish {key} to {self.base_url}", "PUT",
+                       self.url_for(key), data=data)
         self.journal["entry_bodies"] += 1
 
     def delete(self, key: str) -> None:
         """Drop one remote entry (raises on any failure but 404)."""
         self.journal["delete"] += 1
-        req = self._request(self.url_for(key), "DELETE")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s):
-                pass
-        except urllib.error.HTTPError as exc:
-            self._mark_up()
-            if exc.code != 404:
-                raise BackendError(
-                    f"cannot delete {key} from {self.base_url}: {exc}"
-                ) from None
-            return
-        except Exception as exc:
-            self._mark_down()
-            raise BackendError(
-                f"cannot delete {key} from {self.base_url}: {exc}"
-            ) from None
-        self._mark_up()
+        self._transfer(f"delete {key} from {self.base_url}", "DELETE",
+                       self.url_for(key), allow=(404,))
 
     def iter_keys(self) -> Iterator[str]:
         """Every key the remote holds (raises if it cannot be listed)."""
         self.journal["iter_keys"] += 1
-        try:
-            req = self._request(f"{self.base_url}/keys", "GET")
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                keys = json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            self._mark_up()
-            raise BackendError(
-                f"cannot list keys of {self.base_url}: {exc}"
-            ) from None
-        except Exception as exc:
-            self._mark_down()
-            raise BackendError(
-                f"cannot list keys of {self.base_url}: {exc}"
-            ) from None
-        self._mark_up()
+        _status, body = self._transfer(f"list keys of {self.base_url}",
+                                       "GET", f"{self.base_url}/keys")
+        keys = _json_or_none(body)
         if not isinstance(keys, list):
             raise BackendError(f"{self.base_url}/keys did not return a list")
         return iter([k for k in keys if isinstance(k, str)
@@ -786,23 +887,11 @@ class HTTPBackend:
         self.journal["iter_keys_since"] += 1
         url = (f"{self.base_url}/keys?"
                + urllib.parse.urlencode({"since": repr(float(since))}))
-        try:
-            req = self._request(url, "GET")
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            self._mark_up()
-            if exc.code == 404:
-                return None  # a pre-delta server: callers list in full
-            raise BackendError(
-                f"cannot list key delta of {self.base_url}: {exc}"
-            ) from None
-        except Exception as exc:
-            self._mark_down()
-            raise BackendError(
-                f"cannot list key delta of {self.base_url}: {exc}"
-            ) from None
-        self._mark_up()
+        status, body = self._transfer(f"list key delta of {self.base_url}",
+                                      "GET", url, allow=(404,))
+        if status == 404:
+            return None  # a pre-delta server: callers list in full
+        payload = _json_or_none(body)
         if (not isinstance(payload, dict)
                 or not isinstance(payload.get("keys"), list)
                 or not isinstance(payload.get("clock"), (int, float))):
@@ -823,19 +912,14 @@ class HTTPBackend:
         if not self._reachable():
             return None
         self.journal["stat"] += 1
+        url = self.url_for(key)
         try:
-            req = self._request(self.url_for(key), "HEAD")
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                raw = resp.headers.get("Content-Length")
+            status, _body, headers = self._exchange("HEAD", url)
         except BackendError:
-            raise
-        except urllib.error.HTTPError:
-            self._mark_up()
             return None
-        except Exception:
-            self._mark_down()
+        if status >= 300:
             return None
-        self._mark_up()
+        raw = headers.get("Content-Length")
         try:
             size = int(raw) if raw is not None else -1
         except ValueError:
@@ -847,21 +931,9 @@ class HTTPBackend:
     def stats(self) -> Dict[str, object]:
         """The server's ``GET /stats`` operability payload (loud)."""
         self.journal["stats"] += 1
-        try:
-            req = self._request(f"{self.base_url}/stats", "GET")
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            self._mark_up()
-            raise BackendError(
-                f"cannot read stats of {self.base_url}: {exc}"
-            ) from None
-        except Exception as exc:
-            self._mark_down()
-            raise BackendError(
-                f"cannot read stats of {self.base_url}: {exc}"
-            ) from None
-        self._mark_up()
+        _status, body = self._transfer(f"read stats of {self.base_url}",
+                                       "GET", f"{self.base_url}/stats")
+        payload = _json_or_none(body)
         if not isinstance(payload, dict):
             raise BackendError(f"{self.base_url}/stats did not return a dict")
         return payload
@@ -881,34 +953,27 @@ class HTTPBackend:
         optimization, and its failure mode is duplicated work, not a
         stuck sweep.
         """
-        if not KEY_RE.match(key):
-            return "unavailable", None
-        if not self._reachable():
+        if not KEY_RE.match(key) or not self._reachable():
             return "unavailable", None
         self.journal[f"lease_{verb}"] += 1
         body = json.dumps({"verb": verb, "token": token}).encode("utf-8")
         try:
-            req = self._request(f"{self.base_url}/leases/{key}", "POST",
-                                data=body,
-                                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            self._mark_up()
-            if exc.code == 409:
-                return "denied", None
-            return "unavailable", None  # 404/403/501: no lease plane here
-        except Exception:
-            self._mark_down()
+            status, answer, _headers = self._exchange(
+                "POST", f"{self.base_url}/leases/{key}", data=body,
+                headers={"Content-Type": "application/json"})
+        except BackendError:
             return "unavailable", None
-        self._mark_up()
-        if verb == "claim":
-            granted = isinstance(payload, dict) and payload.get("granted")
-            token = payload.get("token") if isinstance(payload, dict) else None
-            if granted and isinstance(token, str):
-                return "granted", token
+        if status == 409:
             return "denied", None
-        return "ok", None
+        payload = _json_or_none(answer)
+        if status >= 300 or not isinstance(payload, dict):
+            return "unavailable", None  # 404/403/501: no lease plane here
+        if verb != "claim":
+            return "ok", None
+        token = payload.get("token")
+        if payload.get("granted") and isinstance(token, str):
+            return "granted", token
+        return "denied", None
 
     def lease(self, key: str) -> "RemoteLease":
         """The server-held compute lease of one key (not yet claimed)."""
@@ -973,28 +1038,24 @@ class RemoteLease:
         self.owned = False
         self.backend.lease_request(self.key, "release", self._token)
 
-    def __enter__(self) -> "RemoteLease":
-        """Context-manager entry (the caller has already claimed)."""
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Release on context exit."""
-        self.release()
-
 
 class ComputeLease:
     """One cell's compute claim across tiers: local file + remote server.
 
-    Acquisition is local-first: the :class:`FileLease` dedupes sweeps
-    sharing a filesystem exactly as before, and only a locally-won claim
-    is escalated to the hub's lease plane.  A remote *denial* (another
-    host is computing this cell) releases the local lease and reports
-    failure, so the cell is deferred and later served from the hub; a
-    remote that is merely *unavailable* keeps the locally-won claim —
-    cross-host coordination fails open to the PR-5 single-host
-    behaviour.  ``remote_owned`` tells :func:`~repro.scenarios.batch`
-    whether the computed entry should be published to the hub at record
-    time (the exactly-once handshake: publish precedes release).
+    :meth:`~repro.scenarios.store.SweepStore.compute_lease` always hands
+    out this type; ``remote`` is ``None`` when the store's remote tier
+    has no lease plane (or there is no remote), and the claim is then
+    exactly the local :class:`FileLease`.  Acquisition is local-first:
+    the :class:`FileLease` dedupes sweeps sharing a filesystem exactly as
+    before, and only a locally-won claim is escalated to the hub's lease
+    plane.  A remote *denial* (another host is computing this cell)
+    releases the local lease and reports failure, so the cell is deferred
+    and later served from the hub; a remote that is merely *unavailable*
+    keeps the locally-won claim — cross-host coordination fails open to
+    single-host behaviour.  ``remote_owned`` tells
+    :func:`~repro.scenarios.batch.run_batch` whether the computed entry
+    should be published to the hub at record time (the exactly-once
+    handshake: publish precedes release).
     """
 
     def __init__(self, local: FileLease,
@@ -1033,14 +1094,6 @@ class ComputeLease:
         if self.remote is not None:
             self.remote.release()
         self.local.release()
-
-    def __enter__(self) -> "ComputeLease":
-        """Context-manager entry (the caller has already acquired)."""
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Release on context exit."""
-        self.release()
 
 
 class _LeaseTable:
@@ -1114,52 +1167,20 @@ class _LeaseTable:
                        if now - stamp <= self.steal_after)
 
 
-class _StoreHTTPHandler(BaseHTTPRequestHandler):
+class _StoreHTTPHandler(HTTPHandlerBase):
     """Request handler bridging the HTTP surface onto a LocalBackend."""
 
     # set by StoreServer on the subclass it builds per server instance
     backend: LocalBackend
     read_only: bool = False
-    auth_token: Optional[str] = None
     leases: _LeaseTable
     started_at: float = 0.0
     server_version = "repro-store/1"
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Silence per-request stderr logging (the CLI prints a summary)."""
 
     def _key_from_path(self, path: Optional[str] = None) -> Optional[str]:
         match = re.match(r"^/objects/([0-9a-f]{32})\.json$",
                          self.path if path is None else path)
         return match.group(1) if match else None
-
-    def _send(self, code: int, body: bytes = b"",
-              content_type: str = "application/json",
-              etag: Optional[str] = None) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if etag is not None:
-            self.send_header("ETag", f'"{etag}"')
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
-
-    def _authorized(self) -> bool:
-        """Whether this request may mutate an admin-mode (token'd) store."""
-        return bearer_authorized(self.headers, self.auth_token)
-
-    def _read_body(self, cap: int = MAX_BODY_BYTES) -> Optional[bytes]:
-        """The request body via the shared :func:`read_framed_body`.
-
-        Sends the error response itself and returns ``None`` when the
-        declared ``Content-Length`` is missing/unparseable/negative
-        (400), exceeds ``cap`` (413, refused before reading a byte), or
-        the client died mid-upload leaving fewer bytes than declared
-        (400) — a short read must never be stored as a whole entry.
-        """
-        data, _status = read_framed_body(self, cap=cap)
-        return data
 
     def _keys_since(self, since: float) -> Tuple[List[str], float]:
         """Keys stamped at-or-after ``since``, plus the new sync clock.
@@ -1191,15 +1212,13 @@ class _StoreHTTPHandler(BaseHTTPRequestHandler):
                     self._send(400, b'{"error": "bad since clock"}')
                     return
                 keys, clock = self._keys_since(since)
-                body = json.dumps({"keys": keys, "clock": clock}).encode()
-                self._send(200, body)
+                self._send_json(200, {"keys": keys, "clock": clock})
                 return
-            body = json.dumps(sorted(self.backend.iter_keys())).encode()
-            self._send(200, body)
+            self._send_json(200, sorted(self.backend.iter_keys()))
             return
         if parsed.path == "/stats":
             keys = list(self.backend.iter_keys())
-            body = json.dumps({
+            self._send_json(200, {
                 "entries": len(keys),
                 "bytes": self.backend.total_bytes(),
                 "leases": len(self.leases),
@@ -1208,8 +1227,7 @@ class _StoreHTTPHandler(BaseHTTPRequestHandler):
                 "uptime_s": max(0.0, time.time() - self.started_at),
                 "read_only": self.read_only,
                 "auth_required": bool(self.auth_token),
-            }).encode()
-            self._send(200, body)
+            })
             return
         key = self._key_from_path(parsed.path)
         data = self.backend.get(key) if key else None
@@ -1243,7 +1261,7 @@ class _StoreHTTPHandler(BaseHTTPRequestHandler):
         if self.read_only:
             self._send(403, b'{"error": "read-only store"}')
             return
-        data = self._read_body(cap=4096)
+        data, _status = self._read_body(cap=4096)
         if data is None:
             return
         try:
@@ -1261,9 +1279,7 @@ class _StoreHTTPHandler(BaseHTTPRequestHandler):
             if granted is None:
                 self._send(409, b'{"granted": false}')
             else:
-                body = json.dumps({"granted": True,
-                                   "token": granted}).encode()
-                self._send(200, body)
+                self._send_json(200, {"granted": True, "token": granted})
         elif verb == "refresh":
             if self.leases.refresh(key, token):
                 self._send(200, b'{"refreshed": true}')
@@ -1289,7 +1305,7 @@ class _StoreHTTPHandler(BaseHTTPRequestHandler):
         if key is None:
             self._send(404, b'{"error": "bad entry path"}')
             return
-        data = self._read_body()
+        data, _status = self._read_body()
         if data is None:
             return
         try:
@@ -1325,17 +1341,13 @@ class _StoreHTTPHandler(BaseHTTPRequestHandler):
         self._send(200, b'{"deleted": true}')
 
 
-class StoreServer:
+class StoreServer(HTTPServerBase):
     """Publish one local sweep store over HTTP (``repro store serve``).
 
-    A thin wrapper around :class:`http.server.ThreadingHTTPServer`: pass
-    a store root, a bind address and a port (``0`` picks a free one), and
-    either :meth:`serve` in the foreground — optionally for a bounded
-    ``duration`` — or :meth:`start` a daemon thread and :meth:`shutdown`
-    later (what the tests do).  The server performs only a minimal
-    embedded-key sanity check on pushed entries; *clients* re-verify
-    key/salt/checksum on every read, so a compromised or skewed server
-    can cost misses, never wrong values.
+    An :class:`HTTPServerBase` over the store handler.  The server
+    performs only a minimal embedded-key sanity check on pushed entries;
+    *clients* re-verify key/salt/checksum on every read, so a compromised
+    or skewed server can cost misses, never wrong values.
 
     Beyond the byte surface the server is the cross-host coordination
     plane: :attr:`leases` holds the per-key compute claims behind ``POST
@@ -1345,70 +1357,16 @@ class StoreServer:
     token (constant-time compare); reads and leases stay open.
     """
 
+    label = "store server"
+
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
                  read_only: bool = False,
                  auth_token: Optional[str] = None,
                  lease_steal_after: float = LEASE_STEAL_SECONDS) -> None:
-        backend = LocalBackend(root)
         self.leases = _LeaseTable(steal_after=lease_steal_after)
         handler = type("_BoundStoreHTTPHandler", (_StoreHTTPHandler,),
-                       {"backend": backend, "read_only": read_only,
+                       {"backend": LocalBackend(root),
+                        "read_only": read_only,
                         "auth_token": auth_token, "leases": self.leases,
                         "started_at": time.time()})
-        try:
-            self._server = ThreadingHTTPServer((host, port), handler)
-        except OSError as exc:
-            raise BackendError(
-                f"cannot bind store server to {host}:{port}: {exc}"
-            ) from None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        """The bound host address."""
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """The base URL clients pass as ``--remote``."""
-        return f"http://{self.host}:{self.port}"
-
-    def serve(self, duration_s: Optional[float] = None) -> None:
-        """Serve in the foreground, forever or for ``duration_s`` seconds."""
-        if duration_s is not None:
-            timer = threading.Timer(duration_s, self._server.shutdown)
-            timer.daemon = True
-            timer.start()
-        try:
-            self._server.serve_forever(poll_interval=0.05)
-        finally:
-            self._server.server_close()
-
-    def start(self) -> "StoreServer":
-        """Serve on a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        kwargs={"poll_interval": 0.05},
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop a :meth:`start`-ed server and release its socket."""
-        self._server.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "StoreServer":
-        """Start serving on entry to a ``with`` block."""
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Shut the server down on exit."""
-        self.shutdown()
+        super().__init__(handler, host, port)

@@ -24,17 +24,18 @@ answers fleet-wide through the sweep store.
   degrade per request: a bad scenario is a 400 with the validation
   message, an engine failure is a 500 for that request only — the
   failing session is evicted and the pool keeps serving;
-* :class:`PredictServer` — the stdlib-HTTP front end (mirroring
-  :class:`~repro.scenarios.backends.StoreServer`): ``POST /predict`` for
+* :class:`PredictServer` — the stdlib-HTTP front end, built on the same
+  :class:`~repro.scenarios.backends.HTTPServerBase` /
+  :class:`~repro.scenarios.backends.HTTPHandlerBase` as
+  :class:`~repro.scenarios.backends.StoreServer`: ``POST /predict`` for
   one scenario, ``POST /predict/batch`` for scenario lists, grids, and
   :class:`~repro.core.compiled.CellDelta`-style task-override grids
   routed through :meth:`~repro.analysis.session.WhatIfSession.
   simulate_many` on one shared lowering, plus ``GET /healthz`` and ``GET
-  /stats`` (session / memo-hit / latency counters).  Auth and framing
-  ride the shared helpers in :mod:`repro.scenarios.backends`
-  (:func:`~repro.scenarios.backends.bearer_authorized`,
-  :func:`~repro.scenarios.backends.read_framed_body`); ``--auth-token``
-  gates the POST endpoints while the GET probes stay open.
+  /stats`` (session / memo-hit / latency counters).  Response framing,
+  body framing and the ``Bearer`` auth check come from the shared
+  handler base; ``--auth-token`` gates the POST endpoints while the GET
+  probes stay open.
 
 The wire protocol, session-pool lifecycle, memoization contract and
 failure modes are written down in ``docs/service.md`` and drift-checked
@@ -48,17 +49,12 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError, DaydreamError
 from repro.core.compiled import CellDelta
 from repro.models.registry import runtime_registered_models
-from repro.scenarios.backends import (
-    BackendError,
-    bearer_authorized,
-    read_framed_body,
-)
+from repro.scenarios.backends import HTTPHandlerBase, HTTPServerBase
 from repro.scenarios.pipeline import PipelineError
 from repro.scenarios.registry import DEFAULT_REGISTRY, OptimizationRegistry
 from repro.scenarios.runner import (
@@ -67,7 +63,12 @@ from repro.scenarios.runner import (
     ScenarioRunner,
 )
 from repro.scenarios.scenario import Scenario, ScenarioGrid
-from repro.scenarios.store import SweepStore, scenario_key, store_salt
+from repro.scenarios.store import (
+    SweepStore,
+    scenario_key,
+    store_salt,
+    timings_ok,
+)
 
 #: a scenario is a few hundred bytes of JSON; a request body anywhere
 #: near this cap (1 MiB) is a broken or hostile client, not a question
@@ -266,18 +267,6 @@ class SessionPool:
             }
 
 
-def _timings_ok(values: object) -> bool:
-    """Whether a memoized entry carries both float timings.
-
-    The same shape :mod:`repro.scenarios.batch` validates before trusting
-    a store hit — the service and the sweep executor share one
-    memoization contract, not two.
-    """
-    return (isinstance(values, dict)
-            and isinstance(values.get("baseline_us"), float)
-            and isinstance(values.get("predicted_us"), float))
-
-
 class PredictService:
     """The transport-independent prediction core behind the daemon.
 
@@ -392,29 +381,39 @@ class PredictService:
 
     # ------------------------------------------------------------ predict
 
+    def _memo_hit(self, scenario: Scenario,
+                  key: str) -> Optional[Dict[str, object]]:
+        """The answer memoized on the store for one scenario, if any.
+
+        The same trust check the batch executor applies to a store hit
+        (:func:`~repro.scenarios.store.timings_ok`): the service and the
+        sweep executor share one memoization contract, not two.
+        """
+        if self.store is None:
+            return None
+        values = self.store.get(scenario)
+        if not timings_ok(values):
+            return None
+        outcome = self._detached.detached_outcome(
+            scenario, values["baseline_us"], values["predicted_us"],
+            cached=True)
+        return self._response(scenario, key, outcome)
+
     def _predict_one(self, payload: object) -> Dict[str, object]:
         """Answer one scenario: memo read → warm simulate → memo write."""
         scenario = parse_scenario_payload(payload)
         self._validate(scenario)
         key = self.key_for(scenario)
-        if self.store is not None:
-            values = self.store.get(scenario)
-            if _timings_ok(values):
-                outcome = self._detached.detached_outcome(
-                    scenario, values["baseline_us"], values["predicted_us"],
-                    cached=True)
-                return self._response(scenario, key, outcome)
+        hit = self._memo_hit(scenario, key)
+        if hit is not None:
+            return hit
         entry = self.pool.checkout(scenario)
         with entry.lock:
             # double-checked memoization: a concurrent twin may have
             # landed this entry while we waited on the session lock
-            if self.store is not None:
-                values = self.store.get(scenario)
-                if _timings_ok(values):
-                    outcome = self._detached.detached_outcome(
-                        scenario, values["baseline_us"],
-                        values["predicted_us"], cached=True)
-                    return self._response(scenario, key, outcome)
+            hit = self._memo_hit(scenario, key)
+            if hit is not None:
+                return hit
             with self._gate:
                 try:
                     outcome = entry.runner.run(scenario)
@@ -654,33 +653,15 @@ class PredictService:
         }
 
 
-class _PredictHTTPHandler(BaseHTTPRequestHandler):
+class _PredictHTTPHandler(HTTPHandlerBase):
     """Request handler bridging the HTTP surface onto a PredictService."""
 
     # set by PredictServer on the subclass it builds per server instance
     service: PredictService
-    auth_token: Optional[str] = None
     server_version = "repro-predict/1"
 
     #: POST routes, by exact path
     _ROUTES = ("/predict", "/predict/batch")
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Silence per-request stderr logging (the CLI prints a summary)."""
-
-    def _send(self, code: int, body: bytes = b"",
-              content_type: str = "application/json") -> None:
-        """One framed response (shared shape with the store handler)."""
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
-
-    def _send_json(self, code: int, payload: Dict[str, object]) -> None:
-        """One JSON response."""
-        self._send(code, json.dumps(payload).encode("utf-8"))
 
     def do_GET(self) -> None:
         """Serve the open probes: ``/healthz`` and ``/stats``."""
@@ -701,11 +682,11 @@ class _PredictHTTPHandler(BaseHTTPRequestHandler):
             self.service.note_error(404)
             self._send(404, b'{"error": "no such endpoint"}')
             return
-        if not bearer_authorized(self.headers, self.auth_token):
+        if not self._authorized():
             self.service.note_error(401)
             self._send(401, b'{"error": "missing or wrong auth token"}')
             return
-        data, framing_error = read_framed_body(self, cap=MAX_REQUEST_BYTES)
+        data, framing_error = self._read_body(cap=MAX_REQUEST_BYTES)
         if data is None:
             self.service.note_error(framing_error or 400)
             return
@@ -727,79 +708,22 @@ class _PredictHTTPHandler(BaseHTTPRequestHandler):
         self._send_json(200, result)
 
 
-class PredictServer:
+class PredictServer(HTTPServerBase):
     """Serve a :class:`PredictService` over HTTP (``repro serve-predict``).
 
-    A thin wrapper around :class:`http.server.ThreadingHTTPServer`,
-    mirroring :class:`~repro.scenarios.backends.StoreServer`: bind a host
-    and port (``0`` picks a free one), then either :meth:`serve` in the
-    foreground — optionally for a bounded ``duration`` — or :meth:`start`
-    a daemon thread and :meth:`shutdown` later (what the tests do).
-
-    ``auth_token`` gates the POST endpoints (predictions cost engine
-    time); the GET probes stay open, like the store server's reads, so a
-    load balancer can health-check an authenticated daemon.
+    An :class:`~repro.scenarios.backends.HTTPServerBase` over the
+    prediction handler, the same shell as
+    :class:`~repro.scenarios.backends.StoreServer`.  ``auth_token`` gates
+    the POST endpoints (predictions cost engine time); the GET probes
+    stay open, like the store server's reads, so a load balancer can
+    health-check an authenticated daemon.
     """
+
+    label = "prediction server"
 
     def __init__(self, service: PredictService, host: str = "127.0.0.1",
                  port: int = 0, auth_token: Optional[str] = None) -> None:
         self.service = service
         handler = type("_BoundPredictHTTPHandler", (_PredictHTTPHandler,),
                        {"service": service, "auth_token": auth_token})
-        try:
-            self._server = ThreadingHTTPServer((host, port), handler)
-        except OSError as exc:
-            raise BackendError(
-                f"cannot bind prediction server to {host}:{port}: {exc}"
-            ) from None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        """The bound host address."""
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """The base URL clients POST scenario questions to."""
-        return f"http://{self.host}:{self.port}"
-
-    def serve(self, duration_s: Optional[float] = None) -> None:
-        """Serve in the foreground, forever or for ``duration_s`` seconds."""
-        if duration_s is not None:
-            timer = threading.Timer(duration_s, self._server.shutdown)
-            timer.daemon = True
-            timer.start()
-        try:
-            self._server.serve_forever(poll_interval=0.05)
-        finally:
-            self._server.server_close()
-
-    def start(self) -> "PredictServer":
-        """Serve on a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        kwargs={"poll_interval": 0.05},
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop a :meth:`start`-ed server and release its socket."""
-        self._server.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "PredictServer":
-        """Start serving on entry to a ``with`` block."""
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Shut the server down on exit."""
-        self.shutdown()
+        super().__init__(handler, host, port)

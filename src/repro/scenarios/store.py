@@ -143,6 +143,18 @@ def scenario_key(scenario: Scenario,
                            digest_size=16).hexdigest()
 
 
+def timings_ok(values: object) -> bool:
+    """Whether a stored ``predict`` entry carries both timings as floats.
+
+    The one trust check on a memoized prediction: the batch executor and
+    the prediction service both apply it before serving a store hit, so
+    a hand-written entry of the wrong shape is recomputed, not served.
+    """
+    return (isinstance(values, dict)
+            and isinstance(values.get("baseline_us"), float)
+            and isinstance(values.get("predicted_us"), float))
+
+
 def _entry_checksum(payload: Dict[str, object]) -> str:
     """Checksum over the trusted portion of an entry."""
     material = json.dumps(
@@ -332,22 +344,23 @@ class SweepStore:
         return self._local.lease(key, steal_after=steal_after)
 
     def compute_lease(self, key: str,
-                      steal_after: float = LEASE_STEAL_SECONDS):
+                      steal_after: float = LEASE_STEAL_SECONDS
+                      ) -> ComputeLease:
         """The cross-tier compute claim of one key (not yet acquired).
 
-        With a lease-capable ``remote`` tier configured this is a
-        :class:`~repro.scenarios.backends.ComputeLease` — the local
-        :class:`~repro.scenarios.backends.FileLease` escalated to the
-        hub's lease plane, so sweeps on *different hosts* sharing one hub
-        dedupe identical cells too.  Without a remote (or with a tier
-        that has no lease plane, e.g. a fault-injection wrapper) it is
-        the plain local lease, byte-for-byte the PR-5 behaviour.
+        Always a :class:`~repro.scenarios.backends.ComputeLease` over the
+        local :class:`~repro.scenarios.backends.FileLease`.  With an
+        :class:`~repro.scenarios.backends.HTTPBackend` remote the claim
+        escalates to the hub's lease plane, so sweeps on *different
+        hosts* sharing one hub dedupe identical cells too.  Without a
+        remote, or with a tier that has no lease plane (e.g. a
+        fault-injection wrapper), its ``remote`` is ``None`` and it
+        behaves exactly like the local lease.
         """
         local = self._local.lease(key, steal_after=steal_after)
-        remote_lease = getattr(self.remote, "lease", None)
-        if remote_lease is None:
-            return local
-        return ComputeLease(local, remote_lease(key))
+        if isinstance(self.remote, HTTPBackend):
+            return ComputeLease(local, self.remote.lease(key))
+        return ComputeLease(local)
 
     # ----------------------------------------------------------------- reads
 
@@ -652,15 +665,25 @@ class SweepStore:
 
         Returns a :class:`GCReport`; ``repro store gc`` renders it.
         """
-        if max_bytes is None:
-            max_bytes = self.max_bytes
+        return self._collect(keep_salt=None, max_bytes=(
+            self.max_bytes if max_bytes is None else max_bytes))
+
+    def _collect(self, keep_salt: Optional[str],
+                 max_bytes: Optional[int]) -> GCReport:
+        """One collection pass under the store-wide GC lease.
+
+        Deletes every entry that is not live under ``keep_salt`` (corrupt
+        and stale alike), removes abandoned temp and lease files, then —
+        with a ``max_bytes`` budget — evicts LRU entries until it holds.
+        :meth:`gc` and :meth:`prune` are both this pass.
+        """
         lease = self._local.gc_lease()
         lease.acquire(timeout=GC_LEASE_WAIT_SECONDS)
         try:
             report = GCReport(bytes_before=self.total_bytes())
             for key in list(self.keys()):
                 report.examined += 1
-                status = self._classify(key)
+                status = self._classify(key, keep_salt=keep_salt)
                 if status == "corrupt":
                     self._delete_entry(key)
                     report.corrupt_removed += 1
@@ -730,28 +753,7 @@ class SweepStore:
         different generation instead (``repro store prune --salt``).
         Runs under the store-wide GC lease, like :meth:`gc`.
         """
-        lease = self._local.gc_lease()
-        lease.acquire(timeout=GC_LEASE_WAIT_SECONDS)
-        try:
-            report = GCReport(bytes_before=self.total_bytes())
-            for key in list(self.keys()):
-                report.examined += 1
-                status = self._classify(key, keep_salt=keep_salt)
-                if status == "corrupt":
-                    self._delete_entry(key)
-                    report.corrupt_removed += 1
-                elif status == "stale":
-                    self._delete_entry(key)
-                    report.stale_removed += 1
-            report.tmp_removed = \
-                self._local.remove_abandoned(TMP_GRACE_SECONDS)
-            report.bytes_after = self.total_bytes()
-        finally:
-            lease.release()
-        self.stats.evicted += report.removed
-        self._approx_bytes = report.bytes_after
-        self._puts_since_resync = 0
-        return report
+        return self._collect(keep_salt=keep_salt, max_bytes=None)
 
     # ------------------------------------------------------------ replication
 

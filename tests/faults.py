@@ -1,9 +1,10 @@
-"""Deterministic fault injection for the sweep fabric.
+"""Deterministic fault injection for the sweep fabric (a test harness).
 
 A robustness contract that is never exercised is a wish, not a contract.
 This module is the tooling that *produces* the faults hosts actually see,
 on demand and reproducibly, so the chaos suite can pin the recovery paths
-the way the determinism suite pins the rows:
+the way the determinism suite pins the rows.  Tests import it the way
+they import ``helpers``:
 
 * :class:`FaultPlan` — a seeded, JSON-describable script of faults: each
   :class:`FaultRule` targets the *nth* invocation of one backend
@@ -16,12 +17,14 @@ the way the determinism suite pins the rows:
   :class:`~repro.scenarios.backends.StoreBackend` that executes the plan
   while journalling every injected fault, so a test can assert both that
   the sweep survived *and* that the faults actually fired;
-* :func:`maybe_kill_worker` — the env-gated worker hook
-  (:data:`KILL_PLAN_ENV`): a batch worker about to run a planned cell
-  hard-kills itself with ``SIGKILL``, at most ``times`` times across the
-  whole sweep (a shared claim directory makes the budget exact across
-  processes and pool rebuilds).  The parent's quarantine path never
-  triggers it — only pool workers consult the hook.
+* :class:`KillPlan` — the JSON plan for the production worker hook
+  :func:`repro.scenarios.batch.maybe_kill_worker` (carried in
+  :data:`~repro.scenarios.batch.KILL_PLAN_ENV`): a batch worker about to
+  run a planned cell hard-kills itself with ``SIGKILL``, at most
+  ``times`` times across the whole sweep (a shared claim directory makes
+  the budget exact across processes and pool rebuilds).  The parent's
+  quarantine path never triggers it — only pool workers consult the
+  hook.
 
 Every fault is a pure function of the plan: the same plan against the
 same operation sequence injects the same faults, which is what lets
@@ -31,8 +34,6 @@ serial run.
 """
 
 import json
-import os
-import signal
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -40,10 +41,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common.errors import ConfigError
 from repro.common.prng import stable_hash
 from repro.scenarios.backends import BackendError, EntryStat, StoreBackend
-
-#: environment variable carrying a JSON worker-kill plan (see
-#: :func:`maybe_kill_worker`); unset means the hook is inert
-KILL_PLAN_ENV = "REPRO_CHAOS_KILL_PLAN"
+from repro.scenarios.batch import _kill_plan
 
 #: the operations a FaultRule may target (``fetch`` is the loud
 #: pull-path read of :class:`~repro.scenarios.backends.HTTPBackend`)
@@ -330,53 +328,16 @@ class KillPlan:
     claim_dir: str
 
     def to_json(self) -> str:
-        """The JSON text to place in :data:`KILL_PLAN_ENV`."""
+        """The JSON text to place in ``KILL_PLAN_ENV``."""
         return json.dumps({"cell": self.cell, "times": self.times,
                            "claim_dir": self.claim_dir})
 
     @classmethod
     def from_env(cls) -> Optional["KillPlan"]:
-        """The active plan from :data:`KILL_PLAN_ENV`, or ``None``.
+        """The active plan, parsed exactly as the worker hook parses it.
 
-        A malformed plan raises :class:`~repro.common.errors.ConfigError`
-        — chaos tooling must not silently do nothing.
+        ``None`` when the variable is unset; a malformed plan raises
+        :class:`~repro.common.errors.ConfigError`.
         """
-        text = os.environ.get(KILL_PLAN_ENV)
-        if not text:
-            return None
-        try:
-            data = json.loads(text)
-            return cls(cell=int(data["cell"]), times=int(data["times"]),
-                       claim_dir=str(data["claim_dir"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(
-                f"malformed {KILL_PLAN_ENV} plan: {exc}") from None
-
-
-def maybe_kill_worker(cell_index: int) -> None:
-    """Hard-kill this process if the env kill plan targets this cell.
-
-    The batch executor's *workers* call this immediately before running
-    each cell.  When :data:`KILL_PLAN_ENV` names this cell and the kill
-    budget is not yet spent, the worker claims one kill slot (an
-    ``O_EXCL`` file in the plan's claim directory — exact across racing
-    processes) and sends itself ``SIGKILL``: no cleanup, no Python
-    teardown, exactly the way the OOM killer takes a real worker.  The
-    parent's serial/quarantine paths never call this hook, so a
-    quarantined cell always completes.
-    """
-    plan = KillPlan.from_env()
-    if plan is None or plan.cell != cell_index:
-        return
-    os.makedirs(plan.claim_dir, exist_ok=True)
-    for slot in range(plan.times):
-        path = os.path.join(plan.claim_dir, f"kill-{slot}")
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            continue  # this slot already spent; try the next
-        except OSError:
-            return  # unwritable claim dir: the hook degrades to inert
-        os.close(fd)
-        os.kill(os.getpid(), signal.SIGKILL)
-    return  # budget exhausted: the cell runs normally this time
+        plan = _kill_plan()
+        return None if plan is None else cls(*plan)

@@ -1,7 +1,7 @@
 """Worker crashes must cost retries, never rows and never stuck leases.
 
 The batch executor's crash-recovery contract, pinned end to end with the
-deterministic chaos harness of :mod:`repro.scenarios.faults`:
+deterministic chaos harness of ``tests/faults.py``:
 
 * a worker hard-killed mid-chunk (the OOM killer in miniature) breaks
   the pool; the parent keeps every recorded row, rebuilds, requeues the
@@ -31,12 +31,12 @@ import time
 
 import pytest
 
+from faults import KillPlan
 from helpers import make_tiny_model
 from repro.common.errors import ConfigError
 from repro.models.registry import register_model
 from repro.scenarios import (
     KILL_PLAN_ENV,
-    KillPlan,
     Scenario,
     ScenarioGrid,
     ScenarioRunner,

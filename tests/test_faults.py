@@ -17,17 +17,15 @@ import sys
 
 import pytest
 
-from repro.common.errors import ConfigError
-from repro.scenarios import (
-    KILL_PLAN_ENV,
+from faults import (
     FaultInjectingBackend,
     FaultPlan,
     FaultRule,
     InjectedFault,
     KillPlan,
-    LocalBackend,
-    maybe_kill_worker,
 )
+from repro.common.errors import ConfigError
+from repro.scenarios import KILL_PLAN_ENV, LocalBackend, maybe_kill_worker
 
 KEY_A = "aa" * 16
 KEY_B = "bb" * 16

@@ -311,13 +311,8 @@ def test_pull_raises_when_the_server_dies_mid_transfer(tmp_path):
 def test_pull_retries_transient_faults_then_succeeds(scenarios, tmp_path):
     """Two injected transient errors on one fetch are absorbed by the
     retry policy; the pull completes with every entry landed."""
-    from repro.scenarios import (
-        FaultInjectingBackend,
-        FaultPlan,
-        FaultRule,
-        LocalBackend,
-        RetryPolicy,
-    )
+    from faults import FaultInjectingBackend, FaultPlan, FaultRule
+    from repro.scenarios import LocalBackend, RetryPolicy
 
     publisher = SweepStore(str(tmp_path / "publisher"))
     ScenarioRunner().run_grid(scenarios, parallel=2, store=publisher)
@@ -342,14 +337,8 @@ def test_pull_mid_transfer_death_reports_partial_progress(scenarios,
     report counts exactly the entries that actually landed — never the
     ones in flight when the server died.
     """
-    from repro.scenarios import (
-        BackendError,
-        FaultInjectingBackend,
-        FaultPlan,
-        FaultRule,
-        LocalBackend,
-        RetryPolicy,
-    )
+    from faults import FaultInjectingBackend, FaultPlan, FaultRule
+    from repro.scenarios import BackendError, LocalBackend, RetryPolicy
 
     publisher = SweepStore(str(tmp_path / "publisher"))
     ScenarioRunner().run_grid(scenarios, parallel=2, store=publisher)
@@ -375,14 +364,8 @@ def test_pull_mid_transfer_death_reports_partial_progress(scenarios,
 def test_push_mid_transfer_death_reports_partial_progress(scenarios,
                                                           tmp_path):
     """Push travels the same loud-partial path as pull."""
-    from repro.scenarios import (
-        BackendError,
-        FaultInjectingBackend,
-        FaultPlan,
-        FaultRule,
-        LocalBackend,
-        RetryPolicy,
-    )
+    from faults import FaultInjectingBackend, FaultPlan, FaultRule
+    from repro.scenarios import BackendError, LocalBackend, RetryPolicy
 
     publisher = SweepStore(str(tmp_path / "publisher"))
     ScenarioRunner().run_grid(scenarios, parallel=2, store=publisher)

@@ -186,14 +186,54 @@ def test_http_backend_rejects_malformed_keys():
         backend.url_for("AA" * 16)  # uppercase is not a content key
 
 
-def test_http_backend_backs_off_after_transport_failure():
+#: one call of every HTTPBackend verb: (method name, arguments)
+VERB_CALLS = {
+    "get": ("get", (KEY_A,)),
+    "stat": ("stat", (KEY_A,)),
+    "fetch": ("fetch", (KEY_A,)),
+    "put": ("put", (KEY_A, b"{}")),
+    "delete": ("delete", (KEY_A,)),
+    "iter_keys": ("iter_keys", ()),
+    "iter_keys_since": ("iter_keys_since", (0.0,)),
+    "stats": ("stats", ()),
+}
+
+
+@pytest.mark.parametrize("op", list(VERB_CALLS))
+def test_http_backend_backs_off_after_transport_failure(op):
+    """A transport failure of *any* verb arms the down window.
+
+    Regression: ``fetch`` raised without arming it, so a dead hub found
+    by a pull kept costing ``get``/``stat`` a timeout per cell."""
     backend = HTTPBackend("http://127.0.0.1:1", timeout_s=0.2,
                           backoff_s=3600.0)
-    assert backend.get(KEY_A) is None  # connection refused -> miss
+    name, args = VERB_CALLS[op]
+    if op in ("get", "stat"):
+        assert getattr(backend, name)(*args) is None  # refused -> miss
+    else:
+        with pytest.raises(BackendError):
+            getattr(backend, name)(*args)  # explicit transfers are loud
     assert backend._down_until > 0
-    # inside the backoff window nothing even attempts the network
+    # inside the backoff window reads do not even attempt the network
+    journal = dict(backend.journal)
     assert backend.get(KEY_B) is None
     assert backend.stat(KEY_B) is None
+    assert dict(backend.journal) == journal
+
+
+@pytest.mark.parametrize("label", ["store server", "prediction server"],
+                         ids=["store", "prediction"])
+def test_server_bind_failure_names_the_server(tmp_path, label):
+    from repro.scenarios import PredictServer, PredictService
+
+    with StoreServer(str(tmp_path), port=0) as taken:
+        with pytest.raises(BackendError,
+                           match=f"cannot bind {label} to "
+                                 f"127.0.0.1:{taken.port}"):
+            if label == "store server":
+                StoreServer(str(tmp_path), port=taken.port)
+            else:
+                PredictServer(PredictService(), port=taken.port)
 
 
 def test_http_backend_404_is_a_miss_without_backoff(tmp_path):

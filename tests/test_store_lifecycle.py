@@ -548,6 +548,44 @@ def test_inherited_cell_keeps_its_lease_fresh_while_computing(
     assert store.contains(cell)
 
 
+def test_inherited_cells_share_one_parent_runner(tmp_path, tiny_model,
+                                                 monkeypatch):
+    """Two inherited cells of one workload profile it once in the parent.
+
+    The serial, quarantine and deferred-inherit paths share one lazily
+    built runner, so N inherited cells of one workload cost one
+    ``WhatIfSession.from_model``, not N.
+    """
+    from repro.analysis.session import WhatIfSession
+
+    store = SweepStore(str(tmp_path / "store"))
+    cells = [Scenario(model=TINY, optimizations=["amp"]),
+             Scenario(model=TINY, optimizations=["fused_adam"])]
+    # a sweep that holds both claims and dies without publishing either
+    winners = [store.lease(store.key(cell)) for cell in cells]
+    for winner in winners:
+        assert winner.try_acquire()
+
+    built = []
+    from_model = WhatIfSession.from_model.__func__
+
+    def counting_from_model(cls, *args, **kwargs):
+        built.append(args)
+        return from_model(cls, *args, **kwargs)
+
+    monkeypatch.setattr(WhatIfSession, "from_model",
+                        classmethod(counting_from_model))
+    crash = threading.Timer(0.1, lambda: [w.release() for w in winners])
+    crash.start()
+    try:
+        report = run_batch(cells, store=store, jobs=1)
+    finally:
+        crash.cancel()
+    assert report.computed == 2 and report.hits == 0
+    assert len(built) == 1
+    assert all(store.contains(cell) for cell in cells)
+
+
 def test_failed_sweep_releases_its_claims(tmp_path, tiny_model):
     """Leases must not leak when a cell blows up mid-sweep.
 

@@ -18,7 +18,7 @@ not use the substrate at all — serial ``ScenarioRunner.run`` calls:
   time), then a cold host B on a different store root is served every
   cell from the hub,
 * a **chaos** run under injected faults: a worker hard-killed by the
-  :mod:`repro.scenarios.faults` kill hook while the remote tier
+  batch kill hook (planned with ``tests/faults.py``) while the remote tier
   corrupts, truncates and errors planned reads — the sweep must
   complete without intervention, account for every cell, and still
   match serial —
@@ -229,15 +229,8 @@ def test_chaos_rows_identical_under_injected_faults(pinned_scenarios,
     """
     import os
 
-    from repro.scenarios import (
-        KILL_PLAN_ENV,
-        FaultInjectingBackend,
-        FaultPlan,
-        FaultRule,
-        KillPlan,
-        LocalBackend,
-        run_batch,
-    )
+    from faults import FaultInjectingBackend, FaultPlan, FaultRule, KillPlan
+    from repro.scenarios import KILL_PLAN_ENV, LocalBackend, run_batch
 
     serial = run_serially(pinned_scenarios)
     publisher = SweepStore(str(tmp_path / "publisher"))

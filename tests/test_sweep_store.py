@@ -221,5 +221,5 @@ def test_missing_values_keys_are_not_trusted(store):
     # a "predict" entry must carry both timings; a hand-written entry
     # with the wrong shape is recomputed, not served
     store.put(BASE, {"baseline_us": 10.0})  # predicted_us missing
-    from repro.scenarios.batch import _values_ok
-    assert _values_ok(store.get(BASE)) is False
+    from repro.scenarios.store import timings_ok
+    assert timings_ok(store.get(BASE)) is False
