@@ -33,6 +33,7 @@ from repro.optimizations import (
     AutomaticMixedPrecision,
     DistributedTraining,
     FusedAdam,
+    PriorityParameterPropagation,
 )
 from repro.optimizations.base import WhatIfContext
 
@@ -269,6 +270,44 @@ def test_perf_simulate_many(bert_session):
                for b, r in zip(batched, reference))
     assert (_RECORDS["simulate_many_24cell"] * 5
             <= _RECORDS["simulate_percell_24cell"])
+
+
+def _engine_run(compiled, policy=None):
+    """The engine alone on a lowering: no policy keys, no result dicts."""
+    from repro.core.compiled import _run_arrays
+
+    pkeys = compiled.policy_keys(policy)
+    return lambda: _run_arrays(
+        len(compiled.tasks), compiled._duration_l, compiled._gap_l,
+        compiled._thread_idx_l, compiled._tnext_l, compiled._indegree_l,
+        compiled._succ_rows, len(compiled.threads), pkeys, compiled.ordered)
+
+
+def test_perf_p3_query(bert_session):
+    """A warm P3 question, and the engine alone on its lowering.
+
+    P3 marks the push/pull channels unordered and keys dispatch by layer
+    priority, so its engine run takes the per-thread dispatch loop while
+    the base graph takes the all-ordered worklist.  Gate (host-relative):
+    the engine on the warm P3 lowering (~14.2k tasks) takes at most 3x
+    the same session's base-graph worklist run.
+    """
+    from repro.core.compiled import CompiledGraph, compiled_for
+
+    cluster = ClusterSpec(4, 1, GPU_2080TI, NetworkSpec(bandwidth_gbps=10))
+    graph = bert_session.graph
+    p3 = PriorityParameterPropagation()
+    _record("base_engine", _engine_run(compiled_for(graph)), rounds=15)
+    with graph.overlay() as working:
+        outcome = p3.apply(working, bert_session.context(cluster))
+        lowered = CompiledGraph.build(working)
+        _, makespan, _ = _record(
+            "p3_engine", _engine_run(lowered, outcome.scheduler), rounds=15)
+    prediction = _record("p3_warm_query",
+                         lambda: bert_session.predict(p3, cluster=cluster),
+                         rounds=9)
+    assert prediction.predicted_us == makespan
+    assert _RECORDS["p3_engine"] <= 3 * _RECORDS["base_engine"]
 
 
 def test_perf_fig8_sweep():

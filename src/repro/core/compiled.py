@@ -19,9 +19,12 @@ arrays and runs Algorithm 1 over integers — the one engine behind every
   otherwise (the dependency stays soft; semantics are identical because
   the hot loop runs over plain-list views either way — CPython indexes
   lists faster than it unboxes numpy scalars);
-* **the array engine** — a lazy-deletion min-heap over
-  ``(feasible_start, policy_key, ordinal)`` integer entries.  No Task
-  object is touched between heapify and the final result assembly;
+* **the array engine** — a worklist when every thread is ordered, and
+  otherwise exact per-thread dispatch: one global heap with at most one
+  live ``(feasible_start, policy_key, ordinal)`` candidate per thread,
+  each thread's own argmin (see :func:`_run_arrays` for the invariant and
+  why it is exact), O((N + E) log N).  No Task object is touched between
+  the first dispatch and the final result assembly;
 * **batched multi-simulate** — :func:`simulate_many` amortizes the
   lowering across every cell of a what-if grid that shares a baseline:
   each :class:`CellDelta` patches sparse per-task duration/gap overrides
@@ -259,11 +262,13 @@ class CompiledGraph:
         """Per-ordinal secondary sort keys for a ``SchedulePolicy``.
 
         ``None`` means every key is 0.0 (no policy, or the default one),
-        letting the engine skip the column entirely.
+        letting the engine fill the column with zeros.
 
         Raises:
             TypeError: if ``policy`` is neither ``None`` nor a
-                ``SchedulePolicy``.
+                ``SchedulePolicy``, or if its ``key`` returns anything but
+                an ``int`` or ``float`` (``bool`` counts as ``int``) or
+                returns NaN — either would leave dispatch order undefined.
         """
         from repro.core.simulate import SchedulePolicy
         if policy is None or type(policy) is SchedulePolicy:
@@ -274,7 +279,23 @@ class CompiledGraph:
                 "subclass repro.core.simulate.SchedulePolicy and override "
                 "key(task) to reorder dispatch")
         key = policy.key
-        return [key(task) for task in self.tasks]
+        keys = [key(task) for task in self.tasks]
+        # fast path: only plain numbers, and a NaN-free sum (any NaN makes
+        # the sum NaN); anything else is checked key by key
+        if set(map(type, keys)) <= {int, float, bool}:
+            try:
+                total = sum(keys)
+            except OverflowError:  # a huge int beside floats
+                total = None
+            if total == total:
+                return keys
+        for task, k in zip(self.tasks, keys):
+            if not isinstance(k, (int, float)) or k != k:
+                raise TypeError(
+                    f"{type(policy).__name__}.key returned {k!r} for task "
+                    f"{task.name!r}; a schedule key must be an int or a "
+                    "float, and not NaN")
+        return keys
 
     def run(self, policy=None,
             duration: Optional[List[float]] = None,
@@ -293,8 +314,7 @@ class CompiledGraph:
             duration if duration is not None else self._duration_l,
             gap if gap is not None else self._gap_l,
             self._thread_idx_l, self._tnext_l, self._indegree_l,
-            self._succ_rows, len(self.threads), pkeys,
-            all(self.ordered),
+            self._succ_rows, len(self.threads), pkeys, self.ordered,
         )
         return SimulationResult(
             start_us=dict(zip(self.tasks, starts)),
@@ -308,25 +328,40 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
                 thread_idx: List[int], tnext: List[int],
                 indegree: List[int], succ_rows: List[List[int]],
                 n_threads: int, pkeys: Optional[List[float]],
-                all_ordered: bool = False,
+                ordered: Sequence[bool],
                 ) -> Tuple[List[float], float, List[List[Tuple[float, float]]]]:
-    """The array engine inner loop: integer heap entries, no Task objects.
+    """The array engine inner loop: integer entries, no Task objects.
 
-    Heap entries are ``(feasible_start, policy_key, ordinal)`` (the policy
-    column is dropped when every key is 0.0).  Ordinals are unique, so
-    tuple comparison never needs a fourth element, and the ordinal
-    tie-break makes dispatch order a pure function of the graph data.
-    Stale entries (thread advanced since push) are re-pushed with their
-    recomputed feasible start — exact, since feasible starts only grow.
+    Each step dispatches the argmin, over dispatchable tasks, of
+    ``(max(thread progress, ready), policy key, ordinal)`` (keys are 0.0
+    without a policy).  Ordinals are unique, so the order is total and a
+    pure function of the graph data.
 
-    When every thread is *ordered* the heap disappears entirely
-    (``all_ordered``): a task's start is ``max(thread progress, ready)``
+    When every thread is *ordered* (``ordered`` holds per-thread flags)
+    there is no heap: a task's start is ``max(thread progress, ready)``
     and both are final by the time its last predecessor executes — the
-    chain edge pins each thread's dispatch order, so the global pop order
-    carries no information and a plain worklist computes the identical
-    fixpoint (same starts, same per-thread busy order, same makespan).
-    Scheduling only has degrees of freedom on unordered channels, which
-    is exactly when the heap paths below run.
+    chain edge pins each thread's dispatch order, so a plain worklist
+    computes the identical fixpoint (same starts, busy order, makespan).
+
+    Otherwise one loop runs *per-thread dispatch*: a global heap holds
+    ``(feasible, key, ordinal, version)`` entries, and each thread has at
+    most one live candidate in it — its own argmin.
+
+    * An ordered thread has at most one dispatchable task, and the
+      thread's progress is final when that task is released, so its entry
+      is pushed once and never goes stale.
+    * An unordered thread keeps an *arrived* heap ``(key, ordinal)`` of
+      tasks with ``ready <= progress`` and a *pending* heap
+      ``(ready, key, ordinal)`` of the rest.  Every arrived task would
+      start at ``progress`` and every pending one later, so the argmin is
+      the arrived top, else the pending top.  After each dispatch, every
+      thread it touched (ran on, or released a task to) is re-stamped:
+      arrived tasks move over, the version is bumped and the one
+      candidate pushed; a popped entry of an older version is skipped.
+
+    The global top is therefore exactly the argmin above, ties included.
+    A dispatch re-stamps at most one candidate per touched thread and each
+    task changes heaps at most once, so a run is O((N + E) log N).
     """
     indeg = indegree[:]
     ready = [0.0] * n
@@ -338,7 +373,7 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
     push = heapq.heappush
     pop = heapq.heappop
 
-    if all_ordered:
+    if all(ordered):
         stack = [i for i in range(n) if indeg[i] == 0]
         append = stack.append
         while stack:
@@ -371,82 +406,91 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
                 indeg[c] = r
                 if r == 0:
                     append(c)
-    elif pkeys is None:
-        heap = [(0.0, i) for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        while heap:
-            feasible, i = pop(heap)
-            ti = thread_idx[i]
-            cur = progress[ti]
-            if cur > feasible:
-                push(heap, (cur, i))
-                continue
-            starts[i] = feasible
-            d = dur[i]
-            end = feasible + d
-            if end > makespan:
-                makespan = end
-            progress[ti] = end + gap[i]
-            if d > 0.0:
-                busy_lists[ti].append((feasible, end))
-            executed += 1
-            for c in succ_rows[i]:
-                if ready[c] < end:
-                    ready[c] = end
-                r = indeg[c] - 1
-                indeg[c] = r
-                if r == 0:
-                    cf = progress[thread_idx[c]]
-                    rc = ready[c]
-                    push(heap, (cf if cf > rc else rc, c))
-            c = tnext[i]
-            if c >= 0:
-                if ready[c] < end:
-                    ready[c] = end
-                r = indeg[c] - 1
-                indeg[c] = r
-                if r == 0:
-                    cf = progress[ti]
-                    rc = ready[c]
-                    push(heap, (cf if cf > rc else rc, c))
     else:
-        heap3 = [(0.0, pkeys[i], i) for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap3)
-        while heap3:
-            feasible, pk, i = pop(heap3)
+        keys = pkeys if pkeys is not None else [0.0] * n
+        arrived: List[list] = [[] for _ in range(n_threads)]
+        pending: List[list] = [[] for _ in range(n_threads)]
+        version = [1] * n_threads  # ordered threads' entries carry 0
+        heap = []
+        for i in [i for i in range(n) if indeg[i] == 0]:
             ti = thread_idx[i]
-            cur = progress[ti]
-            if cur > feasible:
-                push(heap3, (cur, pk, i))
-                continue
+            if ordered[ti]:
+                heap.append((0.0, keys[i], i, 0))
+            else:
+                arrived[ti].append((keys[i], i))
+        for lane in arrived:
+            if lane:
+                heapq.heapify(lane)
+                heap.append((0.0, *lane[0], 1))
+        heapq.heapify(heap)
+        touched: List[int] = []
+        while heap:
+            feasible, _, i, v = pop(heap)
+            ti = thread_idx[i]
+            if v:
+                if v != version[ti]:
+                    continue
+                if arrived[ti]:
+                    pop(arrived[ti])
+                else:
+                    pop(pending[ti])
+                touched.append(ti)
             starts[i] = feasible
             d = dur[i]
             end = feasible + d
             if end > makespan:
                 makespan = end
-            progress[ti] = end + gap[i]
+            cur = end + gap[i]
+            progress[ti] = cur
             if d > 0.0:
                 busy_lists[ti].append((feasible, end))
-            executed += 1
             for c in succ_rows[i]:
-                if ready[c] < end:
-                    ready[c] = end
+                rc = ready[c]
+                if rc < end:
+                    ready[c] = rc = end
                 r = indeg[c] - 1
                 indeg[c] = r
                 if r == 0:
-                    cf = progress[thread_idx[c]]
-                    rc = ready[c]
-                    push(heap3, (cf if cf > rc else rc, pkeys[c], c))
-            c = tnext[i]
+                    tc = thread_idx[c]
+                    cf = progress[tc]
+                    if ordered[tc]:
+                        push(heap, (cf if cf > rc else rc, keys[c], c, 0))
+                    else:
+                        if rc <= cf:
+                            push(arrived[tc], (keys[c], c))
+                        else:
+                            push(pending[tc], (rc, keys[c], c))
+                        # a repeat that slips through only leaves one
+                        # stale entry behind
+                        if not touched or touched[-1] != tc:
+                            touched.append(tc)
+            c = tnext[i]  # only ordered threads chain
             if c >= 0:
-                if ready[c] < end:
-                    ready[c] = end
+                rc = ready[c]
+                if rc < end:
+                    ready[c] = rc = end
                 r = indeg[c] - 1
                 indeg[c] = r
                 if r == 0:
-                    cf = progress[ti]
-                    rc = ready[c]
-                    push(heap3, (cf if cf > rc else rc, pkeys[c], c))
+                    push(heap, (cur if cur > rc else rc, keys[c], c, 0))
+            if not touched:
+                continue
+            for t in touched:
+                lane = arrived[t]
+                waiting = pending[t]
+                cur = progress[t]
+                while waiting and waiting[0][0] <= cur:
+                    push(lane, pop(waiting)[1:])
+                v = version[t] + 1
+                version[t] = v
+                if lane:
+                    push(heap, (cur, *lane[0], v))
+                elif waiting:
+                    push(heap, (*waiting[0], v))
+            touched.clear()
+        # every released task is dispatched once the heap drains, so the
+        # tasks never reached are exactly those still holding references
+        executed = indeg.count(0)
 
     if executed != n:
         raise SimulationError(

@@ -9,13 +9,14 @@ execution thread:
   predecessor have executed.
 
 The one engine is the compiled array engine (:mod:`repro.core.compiled`):
-the graph is lowered once per mutation generation to flat arrays, and a
-lazy-deletion min-heap keyed on each dispatchable task's *feasible start*
-(plus a policy key and the task's stable ordinal) runs over integers —
-O(N log N) instead of a per-dispatch frontier scan's O(N * F).  A popped
-entry whose thread made progress since it was pushed is stale; it is
-re-pushed with its recomputed feasible start (feasible starts only grow,
-so lazy reinsertion is exact).
+the graph is lowered once per mutation generation to flat arrays, and each
+step dispatches the task with the least *feasible start* (then policy key,
+then stable ordinal), over integers — a worklist when every thread is
+ordered, otherwise exact per-thread dispatch: one global heap holding
+each thread's own argmin as its only live candidate
+(:func:`repro.core.compiled._run_arrays` states the invariant and why it
+is exact).  O((N + E) log N) instead of a per-dispatch frontier scan's
+O(N * F).
 
 Ties in ``(feasible_start, policy_key)`` break on the task's **stable
 ordinal** (thread-major position, assigned by

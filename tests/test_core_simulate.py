@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.core.graph import DependencyGraph
-from repro.core.simulate import make_priority_scheduler, simulate
+from repro.core.simulate import (
+    SchedulePolicy,
+    make_priority_scheduler,
+    simulate,
+)
 from repro.core.task import Task, TaskKind
 from repro.tracing.records import comm_channel, cpu_thread, gpu_stream
 
@@ -78,8 +82,8 @@ class TestDependencies:
     ], ids=["ordered-cross-thread", "unordered-channel",
             "unordered-channel-priority"])
     def test_deadlock_detected(self, unordered, scheduler):
-        """A cycle deadlocks every engine branch: the all-ordered worklist,
-        the default heap and the policy-keyed heap."""
+        """A cycle deadlocks the worklist and per-thread dispatch, with and
+        without a policy."""
         g = DependencyGraph()
         if unordered:
             channel = comm_channel(0)
@@ -93,6 +97,27 @@ class TestDependencies:
         g.add_dependency(a, b)
         g.add_dependency(b, a)
         with pytest.raises(SimulationError, match="deadlock"):
+            simulate(g, scheduler)
+
+    @pytest.mark.parametrize("scheduler", [
+        None, make_priority_scheduler(lambda t: t.is_comm),
+    ], ids=["default", "priority"])
+    def test_partial_deadlock_counts_executed_tasks(self, scheduler):
+        """An ordered CPU chain feeds a two-task cycle on an unordered
+        channel: the chain and a free channel task run, then the cycle
+        blocks, and the message counts exactly the tasks that ran."""
+        g = DependencyGraph()
+        channel = comm_channel(0)
+        g.mark_unordered(channel)
+        chain = [g.append(make_task(f"c{i}")) for i in range(3)]
+        a = g.append(make_task("a", thread=channel, kind=TaskKind.COMM))
+        b = g.append(make_task("b", thread=channel, kind=TaskKind.COMM))
+        g.append(make_task("free", thread=channel, kind=TaskKind.COMM))
+        g.add_dependency(chain[-1], a)
+        g.add_dependency(a, b)
+        g.add_dependency(b, a)
+        with pytest.raises(SimulationError,
+                           match=r"deadlock: executed 4 of 6 tasks"):
             simulate(g, scheduler)
 
     def test_empty_graph(self):
@@ -131,6 +156,37 @@ class TestSchedulers:
                                   kind=TaskKind.COMM, priority=9))
         res = simulate(g, make_priority_scheduler(lambda t: t.is_comm))
         assert res.start_us[high] < res.start_us[low]
+
+    @pytest.mark.parametrize("bad_key", [float("nan"), None, "high"],
+                             ids=["nan", "none", "str"])
+    def test_bad_policy_key_rejected(self, bad_key):
+        """A key that is not an int or a float, or is NaN, would leave the
+        dispatch order undefined; it is a TypeError naming the policy
+        class and the offending task."""
+        class OddKeys(SchedulePolicy):
+            def key(self, task):
+                return bad_key if task.name == "c2" else 1.0
+
+        g = DependencyGraph()
+        ch = comm_channel(0)
+        g.mark_unordered(ch)
+        for i in range(4):
+            g.append(make_task(f"c{i}", thread=ch, kind=TaskKind.COMM))
+        with pytest.raises(TypeError, match=r"OddKeys\.key .*task 'c2'"):
+            simulate(g, OddKeys())
+
+    def test_bool_and_int_policy_keys_accepted(self):
+        class MixedKeys(SchedulePolicy):
+            def key(self, task):
+                return {"a": True, "b": 0, "c": -2.5}[task.name]
+
+        g = DependencyGraph()
+        ch = comm_channel(0)
+        g.mark_unordered(ch)
+        tasks = [g.append(make_task(name, thread=ch, kind=TaskKind.COMM))
+                 for name in "abc"]
+        res = simulate(g, MixedKeys())
+        assert [res.start_us[t] for t in tasks] == [2.0, 1.0, 0.0]
 
     def test_default_scheduler_is_fifo_on_unordered_ties(self):
         g = DependencyGraph()

@@ -68,6 +68,74 @@ def random_graph(draw):
     return g
 
 
+@st.composite
+def wide_random_graph(draw):
+    """Random DAG over many lanes: 1-3 CPU threads, 0-3 GPU streams and
+    0-3 unordered channels, with frequent ties.
+
+    Tasks are created one at a time on a drawn lane, and every explicit
+    edge runs from an earlier task to a later one, so the graph (with the
+    ordered threads' chains, which also follow creation order) is acyclic.
+    Some ordered-thread tasks wait on channel tasks (the pull ->
+    first-forward shape) and some channel tasks on compute (push after
+    backward).  Durations, gaps and priorities come from small integer
+    sets often enough that equal feasible starts and equal policy keys
+    are common, which exercises every tie-break.
+    """
+    g = DependencyGraph()
+    cpus = [cpu_thread(i) for i in range(draw(st.integers(1, 3)))]
+    gpus = [gpu_stream(i) for i in range(draw(st.integers(0, 3)))]
+    channels = [comm_channel(i) for i in range(draw(st.integers(0, 3)))]
+    for channel in channels:
+        g.mark_unordered(channel)
+    ordered = cpus + gpus
+    # most graphs draw every duration and gap from small integers
+    small = st.sampled_from([0.0, 1.0, 2.0])
+    if draw(st.integers(min_value=0, max_value=3)):
+        dur, gap = small, st.sampled_from([0.0, 0.0, 0.0, 1.0])
+    else:
+        dur = st.one_of(small, st.floats(min_value=0.0, max_value=10.0))
+        gap = st.one_of(st.just(0.0), small,
+                        st.floats(min_value=0.0, max_value=3.0))
+    tasks, comm, compute = [], [], []
+    for i in range(draw(st.integers(min_value=1, max_value=40))):
+        # half the tasks land on a channel when there is one
+        if channels and draw(st.booleans()):
+            lane, kind = draw(st.sampled_from(channels)), TaskKind.COMM
+        else:
+            lane = draw(st.sampled_from(ordered))
+            kind = TaskKind.GPU_KERNEL if lane in gpus else TaskKind.CPU
+        task = g.append(make_task(
+            f"t{i}", lane, draw(dur), draw(gap), kind=kind,
+            priority=draw(st.integers(min_value=0, max_value=3))))
+        if kind == TaskKind.COMM:
+            # a push waits on compute; a pull is free to start
+            if compute and draw(st.booleans()):
+                g.add_dependency(draw(st.sampled_from(compute)), task)
+            comm.append(task)
+        else:
+            if tasks and draw(st.booleans()):
+                g.add_dependency(draw(st.sampled_from(tasks)), task)
+            # the pull -> first-forward shape
+            if comm and draw(st.booleans()):
+                g.add_dependency(draw(st.sampled_from(comm)), task)
+            compute.append(task)
+        tasks.append(task)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_random_graph())
+def test_wide_graph_matches_oracle_default_and_priority(g):
+    """Per-thread dispatch over many ordered threads and unordered
+    channels matches the oracle in full, with and without a policy."""
+    g.validate()
+    _assert_matches_oracle(simulate(g), naive_simulate(g))
+    policy = PrioritySchedulePolicy(lambda t: t.is_comm)
+    _assert_matches_oracle(simulate(g, policy),
+                           naive_simulate(g, key=policy.key))
+
+
 @settings(max_examples=120, deadline=None)
 @given(random_graph())
 def test_event_driven_matches_reference_default_schedule(g):
