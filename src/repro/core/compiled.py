@@ -34,10 +34,12 @@ Invalidation contract (see ``docs/perf.md``): a compiled graph is cached
 on its ``DependencyGraph`` keyed by the graph's mutation generation.
 Structural mutations (append/insert/remove/edges/``mark_unordered``) bump
 the generation directly; in-place ``Task`` field writes bump it through
-the write stamp the lowering pass leaves on each task (``Task.__setattr__``
-consults it before the write lands).  A stale cache is therefore
-impossible — at worst a conservative bump forces one redundant
-relowering.  Inside an open what-if transaction
+the write stamp the lowering pass leaves on each task.  Only lowered tasks
+pay for that barrier: the pass turns each plain ``Task`` into the stamped
+subclass ``repro.core.graph._StampedTask``, whose ``__setattr__`` consults
+the stamp before the write lands; unlowered tasks write plainly.  A stale
+cache is therefore impossible — at worst a conservative bump forces one
+redundant relowering.  Inside an open what-if transaction
 (``DependencyGraph.overlay``) nothing is cached: :func:`simulate_transacted`
 patches or relowers per run, and closing the transaction restores the
 base lowering together with the generation.
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
-from repro.core.graph import _FIELD, _WriteStamp
+from repro.core.graph import _FIELD, _StampedTask, _WriteStamp
 from repro.core.task import Task
 from repro.tracing.records import ExecutionThread
 
@@ -137,9 +139,10 @@ class CompiledGraph:
         ordered = [graph.is_ordered(t) for t in threads]
 
         # one linked-list walk per thread assigns ordinals, reads every
-        # per-task field, and leaves the write stamp; within a thread
-        # ordinals are consecutive, so an ordered thread's successor link
-        # is simply ``i + 1``.  A graph inside an open transaction is not
+        # per-task field, and leaves the write stamp (turning each plain
+        # Task into a _StampedTask); within a thread ordinals are
+        # consecutive, so an ordered thread's successor link is simply
+        # ``i + 1``.  A graph inside an open transaction is not
         # stamped: its base tasks still carry the stamp that journals their
         # writes, and the lowering is never cached
         stamp = _WriteStamp(graph) if graph._journal is None else None
@@ -165,6 +168,10 @@ class CompiledGraph:
                 d = task.__dict__
                 if stamp is not None:
                     d["_sim_stamp"] = stamp
+                    # assigning __class__ on an already stamped task
+                    # would go through the barrier
+                    if task.__class__ is Task:
+                        task.__class__ = _StampedTask
                 duration.append(d["duration"])
                 gap.append(d["gap"])
                 thread_idx.append(ti)

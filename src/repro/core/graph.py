@@ -38,8 +38,9 @@ question: ``with graph.overlay() as g:`` hands back the graph itself, to be
 transformed and simulated in place.  While it is open, every structural
 mutation records what it changed in the graph's undo journal, and every
 field write to a task of the graph records the field's prior value
-(through the write stamp ``Task.__setattr__`` consults — see
-:class:`_WriteStamp`).  Closing the transaction, also when its body
+(through the write stamp of the lowered task's class — see
+:class:`_WriteStamp`; opening a transaction lowers the graph, so every
+task of it is stamped).  Closing the transaction, also when its body
 raises, replays the journal in reverse: thread order, edge sets, unordered
 flags, task fields, the mutation generation and the cached compiled
 lowering come back exactly as they were.  Nothing is cloned, so a question
@@ -53,7 +54,7 @@ allocating one tuple per record while the transaction is open.
 import gc
 import weakref
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from repro.common.errors import GraphConsistencyError
 from repro.core.task import Task
@@ -75,13 +76,15 @@ _MISSING = object()
 class _WriteStamp:
     """The write barrier a lowering pass leaves on each task of a graph.
 
-    ``Task.__setattr__`` calls :meth:`written` before an in-place field
-    write lands on a stamped task.  That bumps the owning graph's mutation
-    generation, so its cached ``CompiledGraph`` is rebuilt.  Outside a
-    transaction the stamp then comes off (later writes cost nothing until
-    the next lowering); inside one it stays, and every write journals the
-    field's prior value.  One shared stamp per lowering keeps the lowering
-    pass to a single dict write per task.
+    Lowering plants one shared stamp in every task's ``__dict__`` and
+    turns each plain :class:`Task` into a :class:`_StampedTask`, whose
+    ``__setattr__`` calls :meth:`written` before the write lands.  That
+    bumps the owning graph's mutation generation, so its cached
+    ``CompiledGraph`` is rebuilt.  Outside a transaction the stamp then
+    comes off and the task turns back into a plain ``Task`` (later writes
+    are plain stores until the next lowering); inside one it stays, and
+    every write journals the field's prior value.  Unlowered tasks never
+    pay for the barrier.
     """
 
     __slots__ = ("_graph_ref",)
@@ -95,10 +98,30 @@ class _WriteStamp:
         journal = None if graph is None else graph._journal
         if journal is None:
             del fields["_sim_stamp"]
+            object.__setattr__(task, "__class__", Task)
         else:
             journal.extend((task, name, fields.get(name, _MISSING), _FIELD))
         if graph is not None:
             graph._generation += 1
+
+
+class _StampedTask(Task):
+    """A lowered :class:`Task`: its field writes go through the stamp.
+
+    Same layout as ``Task``, so a task switches class by assigning
+    ``__class__``.  One without a stamp (``dataclasses.replace`` builds
+    one) drops back to ``Task`` and writes plainly.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        stamp = self.__dict__.get("_sim_stamp")
+        if stamp is None:
+            object.__setattr__(self, "__class__", Task)
+        else:
+            stamp.written(self, name)
+        object.__setattr__(self, name, value)
 
 
 class DependencyGraph:
@@ -349,25 +372,39 @@ class DependencyGraph:
           prev/next symmetry);
         * no explicit edge points backwards within one thread's order;
         * the combined graph (explicit edges + thread order) is acyclic.
+
+        One walk of the linked lists checks the order and seeds the
+        in-degrees of the acyclicity check.
         """
+        prev_link = self._prev
+        next_link = self._next
+        pred = self._pred
         position: Dict[Task, int] = {}
+        indeg: Dict[Task, int] = {}
         for thread, head in self._heads.items():
+            gate = 0 if thread in self._unordered else 1
+            extra = 0
             prev = None
             count = 0
             task = head
             while task is not None:
-                if self._prev[task] is not prev:
+                if prev_link[task] is not prev:
                     raise GraphConsistencyError(
                         f"broken prev link at {task!r} on {thread}"
                     )
-                if task.thread != thread:
+                claimed = task.thread
+                if claimed is not thread and claimed != thread:
                     raise GraphConsistencyError(
                         f"{task!r} linked on {thread} but claims {task.thread}"
                     )
                 position[task] = count
+                # explicit predecessors, plus the thread predecessor of
+                # every task but the head on an ordered thread
+                indeg[task] = len(pred[task]) + extra
+                extra = gate
                 count += 1
                 prev = task
-                task = self._next[task]
+                task = next_link[task]
             if self._tails[thread] is not prev:
                 raise GraphConsistencyError(f"broken tail link on {thread}")
             if self._counts[thread] != count:
@@ -387,37 +424,31 @@ class DependencyGraph:
                         raise GraphConsistencyError(
                             f"edge {src!r} -> {dst!r} contradicts thread order"
                         )
-        self._topological_order()  # raises on cycle
-
-    def _topological_order(self) -> List[Task]:
-        indeg: Dict[Task, int] = {}
-        for thread in self._heads:
-            ordered = self.is_ordered(thread)
-            first = True
-            for task in self.iter_tasks_on(thread):
-                indeg[task] = len(self._pred[task]) + (
-                    0 if first or not ordered else 1)
-                first = False
+        # Kahn's algorithm over explicit edges and ordered thread links;
+        # tasks on unordered threads do not gate their thread successor
+        free = {t for thread in self._unordered
+                for t in self.iter_tasks_on(thread)}
         ready = [t for t, d in indeg.items() if d == 0]
-        order: List[Task] = []
+        reached = 0
         while ready:
             task = ready.pop()
-            order.append(task)
-            children: Iterable[Task] = self._succ[task]
-            if self.is_ordered(task.thread):
-                nxt = self._next[task]
-                if nxt is not None:
-                    children = list(children) + [nxt]
-            for child in children:
-                indeg[child] -= 1
-                if indeg[child] == 0:
+            reached += 1
+            for child in self._succ[task]:
+                d = indeg[child] - 1
+                indeg[child] = d
+                if d == 0:
                     ready.append(child)
-        if len(order) != len(self):
+            child = next_link[task]
+            if child is not None and task not in free:
+                d = indeg[child] - 1
+                indeg[child] = d
+                if d == 0:
+                    ready.append(child)
+        if reached != len(self):
             raise GraphConsistencyError(
-                f"dependency cycle: only {len(order)} of {len(self)} tasks "
+                f"dependency cycle: only {reached} of {len(self)} tasks "
                 "are reachable"
             )
-        return order
 
     # --------------------------------------------------------------- internals
 

@@ -8,6 +8,11 @@ plus the layer/phase mapping that graph transformations rely on.
 Tasks use *identity* semantics (``eq=False``): two tasks with identical
 fields are still distinct graph nodes, and tasks are hashable so they can
 key adjacency sets.
+
+Field writes to a ``Task`` are plain attribute stores, so building a
+graph and mapping it to layers stay cheap.  Only a *lowered* task pays
+for a write barrier: lowering turns it into the stamped subclass
+``repro.core.graph._StampedTask`` (see ``_WriteStamp`` there).
 """
 
 import enum
@@ -16,6 +21,8 @@ from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
 from repro.tracing.records import ExecutionThread
+
+_INF = float("inf")
 
 
 class TaskKind(enum.Enum):
@@ -53,6 +60,10 @@ class Task:
         trace_start_us: the task's start time in the *measured* trace
             (informational; simulation recomputes start times).
         metadata: free-form annotations.
+
+    Durations and gaps must be finite and ``>= 0``.  Do not subclass
+    ``Task``: lowering stamps only plain tasks, so a subclass's writes
+    would never invalidate a cached lowering.
     """
 
     name: str
@@ -69,30 +80,21 @@ class Task:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ConfigError(f"task {self.name!r} has negative duration")
-        if self.gap < 0:
-            raise ConfigError(f"task {self.name!r} has negative gap")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        # Write barrier: lowering a graph (repro.core.compiled) stamps each
-        # task with a write stamp, consulted *before* the write lands.  It
-        # bumps the graph's mutation generation, so the cached lowering is
-        # rebuilt.  Outside a what-if transaction the first write also
-        # drops the stamp; inside one (DependencyGraph.overlay) every write
-        # journals the field's prior value for the rollback.
-        stamp = self.__dict__.get("_sim_stamp")
-        if stamp is not None:
-            stamp.written(self, name)
-        object.__setattr__(self, name, value)
+        # chained compares are False for NaN, so this also rejects NaN
+        if not 0.0 <= self.duration < _INF:
+            raise ConfigError(f"task {self.name!r} has duration "
+                              f"{self.duration!r}; must be finite and >= 0")
+        if not 0.0 <= self.gap < _INF:
+            raise ConfigError(f"task {self.name!r} has gap {self.gap!r}; "
+                              "must be finite and >= 0")
 
     def clone(self) -> "Task":
         """A fast field-for-field clone (fresh identity, own metadata dict).
 
         Bypasses dataclass ``__init__`` — the source task already satisfies
-        the constructor invariants — and never carries over the write
-        stamp.  Task-valued metadata still references the *original* linked
-        tasks; graph-level cloning remaps those.
+        the constructor invariants — and is always a plain, unstamped
+        ``Task``.  Task-valued metadata still references the *original*
+        linked tasks; graph-level cloning remaps those.
         """
         out = object.__new__(Task)
         d = out.__dict__
@@ -118,8 +120,9 @@ class Task:
 
     def scale_duration(self, factor: float) -> None:
         """Scale this task's duration (the shrink/scale primitive)."""
-        if factor < 0:
-            raise ConfigError("scale factor must be non-negative")
+        if not 0.0 <= factor < _INF:
+            raise ConfigError(
+                f"scale factor {factor!r} must be finite and >= 0")
         self.duration *= factor
 
     def __repr__(self) -> str:  # compact, for debugging

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional
 
+_INF = float("inf")
+
 
 class EventCategory(enum.Enum):
     """CUPTI activity kinds plus Daydream's instrumentation records."""
@@ -122,8 +124,13 @@ class TraceEvent:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration_us < 0:
-            raise ValueError(f"negative duration for event {self.name!r}")
+        # chained compares are False for NaN, so this also rejects NaN
+        if not 0.0 <= self.start_us < _INF:
+            raise ValueError(f"event {self.name!r} has start_us "
+                             f"{self.start_us!r}; must be finite and >= 0")
+        if not 0.0 <= self.duration_us < _INF:
+            raise ValueError(f"event {self.name!r} has duration_us "
+                             f"{self.duration_us!r}; must be finite and >= 0")
 
     @property
     def end_us(self) -> float:

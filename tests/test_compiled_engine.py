@@ -13,6 +13,8 @@ Covers the contracts :mod:`repro.core.compiled` documents:
 * ``SimulationResult.critical_tasks`` orders duration ties by ordinal.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -22,7 +24,7 @@ from repro.core.compiled import (
     compiled_for,
     simulate_many,
 )
-from repro.core.graph import DependencyGraph
+from repro.core.graph import DependencyGraph, _StampedTask
 from repro.core.simulate import make_priority_scheduler, simulate
 from repro.core.task import Task, TaskKind
 from repro.tracing.records import comm_channel, cpu_thread, gpu_stream
@@ -116,15 +118,19 @@ class TestCompiledCache:
         g = small_graph()
         compiled_for(g)
         task = g.tasks()[0]
-        task.duration = 5.0
         generation = g._generation
+        task.duration = 5.0
+        assert g._generation == generation + 1
+        assert type(task) is Task  # the first write unstamps the task
+        assert "_sim_stamp" not in task.__dict__
         task.duration = 6.0  # stamp already fired and popped
-        assert g._generation == generation
+        assert g._generation == generation + 1
 
     def test_clone_does_not_carry_the_stamp(self):
         g = small_graph()
         compiled_for(g)
         clone = g.tasks()[0].clone()
+        assert type(clone) is Task
         generation = g._generation
         clone.duration = 123.0
         assert g._generation == generation
@@ -134,10 +140,43 @@ class TestCompiledCache:
         compiled_for(g)
         dup = g.copy()
         assert dup._compiled is None
+        assert all(type(t) is Task for t in dup.tasks())
         generation = g._generation
         dup.tasks()[0].duration = 50.0  # must not invalidate the original
         assert g._generation == generation
         assert compiled_for(g).run().start_us == simulate(g).start_us
+
+    def test_task_class_has_no_write_barrier(self):
+        assert "__setattr__" not in Task.__dict__
+
+    def test_lowering_stamps_every_task(self):
+        g = small_graph()
+        assert all(type(t) is Task for t in g.tasks())
+        compiled_for(g)
+        assert all(type(t) is _StampedTask for t in g.tasks())
+
+    def test_tasks_stay_stamped_after_a_transaction(self):
+        g = small_graph()
+        with g.overlay() as working:
+            for task in working.tasks():
+                task.duration += 1.0  # journaled, the stamp stays
+            working.append(make_task("late", cpu_thread(0), 1.0))
+        assert all(type(t) is _StampedTask for t in g.tasks())
+        generation = g._generation
+        g.tasks()[0].duration = 0.5
+        assert g._generation == generation + 1
+
+    def test_dataclass_replace_builds_an_unstamped_task(self):
+        g = small_graph()
+        compiled_for(g)
+        source = g.tasks()[0]
+        generation = g._generation
+        fresh = dataclasses.replace(source, duration=9.0)
+        assert type(fresh) is Task
+        assert "_sim_stamp" not in fresh.__dict__
+        assert fresh.duration == 9.0
+        assert type(source) is _StampedTask
+        assert g._generation == generation
 
     def test_overlay_write_invalidates_base_and_overlay(self):
         """A write inside a transaction makes the base lowering stale for

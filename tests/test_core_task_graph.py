@@ -28,6 +28,22 @@ class TestTask:
         with pytest.raises(ConfigError):
             make_task(gap=-1.0)
 
+    @pytest.mark.parametrize("field", ["duration", "gap"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_duration_and_gap(self, field, value):
+        # NaN used to slip past a ``< 0`` check and drop out of the
+        # makespan: a CPU chain [nan, 2.0] simulated to 2.0
+        with pytest.raises(ConfigError, match="finite"):
+            make_task(**{field: value})
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scale_duration_rejects_non_finite_factor(self, factor):
+        t = make_task(duration=10.0)
+        with pytest.raises(ConfigError, match="finite"):
+            t.scale_duration(factor)
+        assert t.duration == 10.0
+
     def test_kind_helpers(self):
         assert make_task(kind=TaskKind.GPU_KERNEL, thread=gpu_stream(0)).is_gpu
         assert make_task(kind=TaskKind.MEMCPY, thread=gpu_stream(0)).is_gpu

@@ -16,6 +16,7 @@ replaced).  These tests pin the contract the what-if session relies on
 """
 
 import gc
+import re
 import threading
 
 import pytest
@@ -27,7 +28,7 @@ from test_simulator_equivalence import random_graph
 from repro.analysis.session import WhatIfSession
 from repro.common.errors import GraphConsistencyError
 from repro.core.compiled import CellDelta, CompiledGraph, compiled_for, simulate_many
-from repro.core.graph import DependencyGraph
+from repro.core.graph import DependencyGraph, _StampedTask
 from repro.core.simulate import make_priority_scheduler, simulate
 from repro.core.task import Task, TaskKind
 from repro.framework.config import TrainingConfig
@@ -146,6 +147,7 @@ class TestJournal:
             working.append(make_task("late", thread=comm_channel(3)))
         assert_restored(tiny_graph, before)
         assert "_sim_stamp" in kernel.__dict__  # barrier re-armed
+        assert type(kernel) is _StampedTask
 
     def test_rollback_on_exception(self, tiny_graph):
         simulate(tiny_graph)
@@ -323,6 +325,90 @@ def test_transaction_matches_copy_and_rolls_back(g, script, abort_at):
             run_script(working, script[:abort_at])
             raise Abort
     assert_restored(g, before)
+
+
+def _lowered_columns(compiled):
+    return (list(compiled.duration), list(compiled.gap),
+            list(compiled.indegree))
+
+
+def _assert_lowering_fresh(graph):
+    """The cached lowering equals a from-scratch one.  The reference
+    lowers a deep copy (ordinals are thread-major by position, so columns
+    line up), which leaves the graph's own write stamps untouched."""
+    assert _lowered_columns(compiled_for(graph)) == \
+        _lowered_columns(CompiledGraph.build(graph.copy()))
+
+
+def _reachable_count(graph):
+    """Tasks a Kahn pass over edges and ordered thread links can reach."""
+    tasks = graph.tasks()
+    indeg = {t: len(graph.predecessors(t)) for t in tasks}
+    for t in tasks:
+        nxt = graph.thread_successor(t)
+        if nxt is not None and graph.is_ordered(t.thread):
+            indeg[nxt] += 1
+    ready = [t for t in tasks if indeg[t] == 0]
+    seen = 0
+    while ready:
+        t = ready.pop()
+        seen += 1
+        children = list(graph.successors(t))
+        nxt = graph.thread_successor(t)
+        if nxt is not None and graph.is_ordered(t.thread):
+            children.append(nxt)
+        for c in children:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return seen
+
+
+_step = st.one_of(
+    st.tuples(st.just("lower"), st.just([]), st.just(False)),
+    st.tuples(st.just("write"), st.lists(_write, max_size=6),
+              st.just(False)),
+    st.tuples(st.just("mutate"), st.lists(_op, max_size=6), st.just(False)),
+    st.tuples(st.just("transaction"), _script, st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graph(), st.lists(_step, min_size=1, max_size=8))
+def test_cached_lowering_is_never_stale(g, steps):
+    """Random interleavings of lowering, plain field writes, structural
+    mutations and (sometimes aborted) transactions never leave
+    ``compiled_for`` holding a stale lowering."""
+    for kind, script, abort in steps:
+        if kind == "lower":
+            compiled_for(g)
+        elif kind == "transaction":
+            try:
+                with g.overlay() as working:
+                    run_script(working, script)
+                    _assert_lowering_fresh(working)
+                    if abort:
+                        raise Abort
+            except Abort:
+                pass
+        else:
+            run_script(g, script)
+        _assert_lowering_fresh(g)
+    g.validate()
+
+    # an injected cycle still fails validation, with the same message
+    a = g.append(Task(name="a", kind=TaskKind.CPU, thread=cpu_thread(0),
+                      duration=1.0))
+    b = next((t for t in g.tasks() if t.thread != a.thread), None)
+    if b is None:
+        b = g.append(Task(name="b", kind=TaskKind.COMM,
+                          thread=comm_channel(5), duration=1.0))
+    g.add_dependency(a, b)
+    g.add_dependency(b, a)
+    expected = (f"dependency cycle: only {_reachable_count(g)} of {len(g)} "
+                "tasks are reachable")
+    with pytest.raises(GraphConsistencyError, match=re.escape(expected)):
+        g.validate()
 
 
 class TestCowSession:

@@ -50,6 +50,12 @@ class TestTraceEvent:
         with pytest.raises(ValueError):
             make_event(dur=-1.0)
 
+    @pytest.mark.parametrize("field", ["start", "dur"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_times_rejected(self, field, value):
+        with pytest.raises(ValueError, match="'k'.*finite"):
+            make_event(**{field: value})
+
     def test_gpu_side_classification(self):
         assert make_event(category=EventCategory.KERNEL).is_gpu_side
         assert make_event(category=EventCategory.MEMCPY).is_gpu_side
@@ -138,6 +144,14 @@ class TestTrace:
     def test_from_json_rejects_garbage(self):
         with pytest.raises(TraceError):
             Trace.from_json("{not json")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_from_json_rejects_non_finite_duration(self, literal):
+        text = Trace(events=[make_event(dur=1.5)]).to_json()
+        assert '"duration_us": 1.5' in text
+        with pytest.raises(ValueError, match="duration_us"):
+            Trace.from_json(text.replace('"duration_us": 1.5',
+                                         f'"duration_us": {literal}'))
 
     def test_save_load(self, tmp_path):
         t = Trace(events=[make_event()], metadata={"model": "tiny"})
