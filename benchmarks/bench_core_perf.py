@@ -169,6 +169,40 @@ def test_perf_journaled_amp_query(bert_trace, bert_graph):
             <= _RECORDS["amp_query_copy"])
 
 
+def test_perf_ddp_query(bert_trace, bert_graph):
+    """One warm DDP question, journaled, vs transforming a deep copy.
+
+    DDP appends one all-reduce per gradient bucket on a channel the base
+    graph lacks, plus their edges, so the journaled query simulates on the
+    base lowering spliced with that channel instead of relowering all
+    ~13k tasks; the reference deep-copies, transforms, lowers and
+    simulates.  Gate: the journaled query must be at least 2x faster —
+    and agree with the copy bit-for-bit.
+    """
+    cluster = ClusterSpec(4, 2, GPU_2080TI, NetworkSpec(bandwidth_gbps=10))
+    ctx = WhatIfContext.from_trace(bert_trace, cluster=cluster)
+    simulate(bert_graph)  # the warm base lowering every question reuses
+
+    def journaled():
+        with bert_graph.overlay() as working:
+            DistributedTraining().apply(working, ctx)
+            return simulate(working)
+
+    def copied():
+        working = bert_graph.copy()
+        DistributedTraining().apply(working, ctx)
+        return simulate(working)
+
+    result = _record("ddp_query_journaled", journaled, rounds=9)
+    reference = _record("ddp_query_copy", copied, rounds=5)
+    assert result.makespan_us == reference.makespan_us
+    assert list(result.start_us.values()) == \
+        list(reference.start_us.values())
+    assert result.thread_busy == reference.thread_busy
+    assert (_RECORDS["ddp_query_journaled"] * 2
+            <= _RECORDS["ddp_query_copy"])
+
+
 def test_perf_graph_copy(bert_graph):
     """Working-graph acquisition for one what-if question.
 

@@ -14,11 +14,11 @@ arrays and runs Algorithm 1 over integers — the one engine behind every
   allocation-independent (the historical fig10 "last-ulp tie" drift came
   from ``id()``-ordered successor-set iteration);
 * **struct-of-arrays** — per-ordinal ``duration`` / ``gap`` /
-  ``thread_idx`` float/int arrays plus CSR successor/predecessor index
-  arrays.  Arrays are numpy when available and stdlib ``array.array``
-  otherwise (the dependency stays soft; semantics are identical because
-  the hot loop runs over plain-list views either way — CPython indexes
-  lists faster than it unboxes numpy scalars);
+  ``thread_idx`` float/int columns plus CSR successor/predecessor index
+  arrays.  Lowering builds plain lists, which the hot loop runs over
+  (CPython indexes lists faster than it unboxes numpy scalars); the array
+  views — numpy when available and stdlib ``array.array`` otherwise, so
+  the dependency stays soft — are derived from them on first access;
 * **the array engine** — a worklist when every thread is ordered, and
   otherwise exact per-thread dispatch: one global heap with at most one
   live ``(feasible_start, policy_key, ordinal)`` candidate per thread,
@@ -40,19 +40,33 @@ subclass ``repro.core.graph._StampedTask``, whose ``__setattr__`` consults
 the stamp before the write lands; unlowered tasks write plainly.  A stale
 cache is therefore impossible — at worst a conservative bump forces one
 redundant relowering.  Inside an open what-if transaction
-(``DependencyGraph.overlay``) nothing is cached: :func:`simulate_transacted`
-patches or relowers per run, and closing the transaction restores the
-base lowering together with the generation.
+(``DependencyGraph.overlay``) nothing is cached, and closing the
+transaction restores the base lowering together with the generation.
+:func:`simulate_transacted` reads the transaction's journal and takes one
+of three paths per run: it *patches* the base lowering's duration/gap
+columns (field writes only), *splices* new threads' blocks into it (the
+graph only gained threads, edges and field writes — DDP and P3
+questions), or *relowers* the transacted graph (anything else: removals,
+removed edges, a base thread given a task or marked unordered).
 """
 
 import heapq
 import os
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
-from repro.core.graph import _FIELD, _StampedTask, _WriteStamp
+from repro.core.graph import (
+    _EDGE_ADDED,
+    _FIELD,
+    _LINKED,
+    _UNORDERED,
+    _StampedTask,
+    _WriteStamp,
+)
 from repro.core.task import Task
 from repro.tracing.records import ExecutionThread
 
@@ -79,8 +93,23 @@ def _int_array(values: Sequence[int]):
     return array("q", values)
 
 
+_INF = float("inf")
+
 #: shared empty successor row (never mutated by the engine)
 _EMPTY_ROW: List[int] = []
+
+
+def _succ_row(succs, ordinal: Dict[Task, int]) -> List[int]:
+    """One CSR row: the ordinals of a task's explicit successors, sorted."""
+    # adjacency rows are overwhelmingly empty or single-element;
+    # specializing those sizes skips most of the sort calls
+    m = len(succs)
+    if m == 0:
+        return _EMPTY_ROW
+    if m == 1:
+        (s,) = succs
+        return [ordinal[s]]
+    return sorted([ordinal[s] for s in succs])
 
 
 @dataclass
@@ -90,6 +119,13 @@ class CompiledGraph:
     Attributes (all task columns are indexed by stable ordinal):
         tasks: ordinal → Task (for result assembly only).
         ordinal: Task → ordinal.
+        threads / ordered: dense thread table and per-thread order flags.
+        generation: the graph mutation generation this lowering captured.
+
+    The engine reads plain-list columns (CPython list indexing beats both
+    numpy scalar unboxing and ``array.array`` getitem); the array views
+    are derived from them on first access, so lowering never pays for
+    them:
         duration / gap: float64 columns.
         thread_idx / tnext: dense thread index of each task, and the
             ordinal of its thread successor (−1 when the thread is
@@ -99,35 +135,19 @@ class CompiledGraph:
         succ_indptr / succ_indices: CSR explicit-successor lists, each
             row sorted by ordinal.
         pred_indptr / pred_indices: CSR explicit-predecessor lists.
-        threads / ordered: dense thread table and per-thread order flags.
-        generation: the graph mutation generation this lowering captured.
     """
 
     tasks: List[Task]
     ordinal: Dict[Task, int]
-    duration: object
-    gap: object
-    thread_idx: object
-    tnext: object
-    indegree: object
-    succ_indptr: object
-    succ_indices: object
     threads: List[ExecutionThread]
     ordered: List[bool]
+    _duration_l: List[float] = field(repr=False)
+    _gap_l: List[float] = field(repr=False)
+    _thread_idx_l: List[int] = field(repr=False)
+    _tnext_l: List[int] = field(repr=False)
+    _indegree_l: List[int] = field(repr=False)
+    _succ_rows: List[List[int]] = field(repr=False)
     generation: int = 0
-    # predecessor CSR is derived from the successor CSR on first access
-    # (an O(E) counting pass), so the common compile-and-run path never
-    # pays for it
-    _pred_csr: Optional[Tuple[object, object]] = field(
-        default=None, repr=False)
-    # plain-list views for the hot loop (CPython list indexing beats both
-    # numpy scalar unboxing and array.array getitem)
-    _duration_l: List[float] = field(default_factory=list, repr=False)
-    _gap_l: List[float] = field(default_factory=list, repr=False)
-    _thread_idx_l: List[int] = field(default_factory=list, repr=False)
-    _tnext_l: List[int] = field(default_factory=list, repr=False)
-    _indegree_l: List[int] = field(default_factory=list, repr=False)
-    _succ_rows: List[List[int]] = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -183,85 +203,54 @@ class CompiledGraph:
                 i += 1
                 task = nxt_link[task]
                 tnext.append(i if is_ordered and task is not None else -1)
-        n = len(tasks)
-
         succ = graph._succ
-        succ_rows: List[List[int]] = []
-        succ_indptr = [0] * (n + 1)
-        succ_indices: List[int] = []
-        rows_append = succ_rows.append
-        for i, task in enumerate(tasks):
-            # adjacency rows are overwhelmingly empty or single-element;
-            # specializing those sizes skips most of the sort calls
-            succs = succ[task]
-            m = len(succs)
-            if m == 0:
-                rows_append(_EMPTY_ROW)
-            elif m == 1:
-                (s,) = succs
-                row = [ordinal[s]]
-                rows_append(row)
-                succ_indices.append(row[0])
-            else:
-                row = sorted(ordinal[s] for s in succs)
-                rows_append(row)
-                succ_indices.extend(row)
-            succ_indptr[i + 1] = len(succ_indices)
-
-        compiled = cls(
-            tasks=tasks,
-            ordinal=ordinal,
-            duration=_float_array(duration),
-            gap=_float_array(gap),
-            thread_idx=_int_array(thread_idx),
-            tnext=_int_array(tnext),
-            indegree=_int_array(indegree),
-            succ_indptr=_int_array(succ_indptr),
-            succ_indices=_int_array(succ_indices),
-            threads=threads,
-            ordered=ordered,
-            generation=getattr(graph, "_generation", 0),
-        )
-        compiled._duration_l = duration
-        compiled._gap_l = gap
-        compiled._thread_idx_l = thread_idx
-        compiled._tnext_l = tnext
-        compiled._indegree_l = indegree
-        compiled._succ_rows = succ_rows
-        return compiled
+        succ_rows = [_succ_row(succ[task], ordinal) for task in tasks]
+        return cls(tasks, ordinal, threads, ordered, duration, gap,
+                   thread_idx, tnext, indegree, succ_rows,
+                   getattr(graph, "_generation", 0))
 
     # ------------------------------------------------------- derived columns
 
-    @property
-    def pred_indptr(self):
-        return self._pred_csr_pair()[0]
+    # the array views (see the class docstring), each built once
+    duration = cached_property(lambda self: _float_array(self._duration_l))
+    gap = cached_property(lambda self: _float_array(self._gap_l))
+    thread_idx = cached_property(lambda self: _int_array(self._thread_idx_l))
+    tnext = cached_property(lambda self: _int_array(self._tnext_l))
+    indegree = cached_property(lambda self: _int_array(self._indegree_l))
 
-    @property
-    def pred_indices(self):
-        return self._pred_csr_pair()[1]
+    succ_indptr = property(lambda self: self._succ_csr[0])
+    succ_indices = property(lambda self: self._succ_csr[1])
+    pred_indptr = property(lambda self: self._pred_csr[0])
+    pred_indices = property(lambda self: self._pred_csr[1])
 
-    def _pred_csr_pair(self) -> Tuple[object, object]:
+    @cached_property
+    def _succ_csr(self) -> Tuple[object, object]:
+        rows = self._succ_rows
+        indptr = [0]
+        indptr += accumulate(map(len, rows))
+        return _int_array(indptr), _int_array(list(chain.from_iterable(rows)))
+
+    @cached_property
+    def _pred_csr(self) -> Tuple[object, object]:
         """Transpose the successor CSR into the predecessor CSR.  O(N + E).
 
         Rows come out ordinal-sorted automatically because the outer loop
         visits sources in ordinal order.
         """
-        if self._pred_csr is None:
-            n = len(self.tasks)
-            counts = [0] * (n + 1)
-            for row in self._succ_rows:
-                for c in row:
-                    counts[c + 1] += 1
-            for i in range(1, n + 1):
-                counts[i] += counts[i - 1]
-            indices = [0] * counts[n]
-            cursor = counts[:]
-            for i, row in enumerate(self._succ_rows):
-                for c in row:
-                    indices[cursor[c]] = i
-                    cursor[c] += 1
-            self._pred_csr = (_int_array(counts), _int_array(indices))
-        return self._pred_csr
+        n = len(self.tasks)
+        counts = [0] * (n + 1)
+        for row in self._succ_rows:
+            for c in row:
+                counts[c + 1] += 1
+        for i in range(1, n + 1):
+            counts[i] += counts[i - 1]
+        indices = [0] * counts[n]
+        cursor = counts[:]
+        for i, row in enumerate(self._succ_rows):
+            for c in row:
+                indices[cursor[c]] = i
+                cursor[c] += 1
+        return _int_array(counts), _int_array(indices)
 
     # ----------------------------------------------------------- simulation
 
@@ -527,29 +516,60 @@ def compiled_for(graph) -> CompiledGraph:
 def simulate_transacted(graph, policy):
     """Simulate a graph inside its open what-if transaction.
 
-    The base lowering the transaction opened on is reused whenever the
-    structure is untouched: when the journal holds only task field writes,
-    its duration/gap columns are copied and the written tasks patched in
-    by ordinal (the :func:`simulate_many` path; the lowering reads no other
-    task field, and policy keys are taken at run time).  Any structural
-    record relowers the transacted graph once, without caching.  Returns a
-    ``SimulationResult`` bit-identical to lowering the graph from scratch.
+    The journal decides how much of the base lowering the transaction
+    opened on is reused.  There are three paths, each returning a
+    ``SimulationResult`` bit-identical to lowering the graph from scratch:
+
+    * **patch** — the journal holds only task field writes: the base
+      duration/gap columns are copied and the written tasks patched in by
+      ordinal (the :func:`simulate_many` path; the lowering reads no other
+      task field, and policy keys are taken at run time);
+    * **splice** — the journal holds only field writes, added edges, and
+      tasks linked onto (or order flags dropped from) threads the base
+      lacks — DDP's all-reduce channel, P3's push/pull channels:
+      :func:`_splice` merges the new threads' blocks into the base
+      lowering;
+    * **relower** — anything else (a removal, a removed edge, a base
+      thread marked unordered or given a new task) relowers the
+      transacted graph once, without caching.
     """
     base = graph._compiled
     if base.generation == graph._generation:
         return base.run(policy)
     journal = graph._journal
     written = []
+    touched = set()  # threads that gained a task or lost their order
+    added = []  # src, dst pairs, flattened
     i = len(journal) - 1
     while i >= 0:
         kind = journal[i]
-        if kind != _FIELD:
+        if kind == _FIELD:
+            written.append(journal[i - 3])
+            i -= 4  # task, field name, prior value, kind
+        elif kind == _EDGE_ADDED:
+            added += (journal[i - 2], journal[i - 1])
+            i -= 3  # src, dst, kind
+        elif kind == _LINKED:
+            touched.add(journal[i - 1])
+            i -= 3  # task, thread, kind
+        elif kind == _UNORDERED:
+            touched.add(journal[i - 1])
+            i -= 2  # thread, kind
+        else:
             return CompiledGraph.build(graph).run(policy)
-        written.append(journal[i - 3])
-        i -= 4  # task, field name, prior value, kind
-    ordinal = base.ordinal
+    if touched or added:
+        if not touched.isdisjoint(base.threads):
+            return CompiledGraph.build(graph).run(policy)
+        return _splice(graph, base, written, added).run(policy)
     duration = base._duration_l[:]
     gap = base._gap_l[:]
+    _patch(duration, gap, base.ordinal, written)
+    return base.run(policy, duration=duration, gap=gap)
+
+
+def _patch(duration: List[float], gap: List[float],
+           ordinal: Dict[Task, int], written: List[Task]) -> None:
+    """Write the written tasks' duration and gap into the columns."""
     for task in written:
         # a task removed before the transaction can still carry an old
         # stamp of this graph; it is not simulated, so it is not patched
@@ -557,7 +577,88 @@ def simulate_transacted(graph, policy):
         if i is not None:
             duration[i] = task.duration
             gap[i] = task.gap
-    return base.run(policy, duration=duration, gap=gap)
+
+
+def _splice(graph, base: CompiledGraph, written: List[Task],
+            added: List[Task]) -> CompiledGraph:
+    """Lower a transacted graph that gained only new threads and edges.
+
+    The base threads kept their tasks, order and order flags; every
+    inserted task sits on a new thread.  A fresh lowering is then the
+    base lowering's per-thread blocks, in order, merged with the new
+    threads' blocks by sorted thread: each base ordinal shifts by the
+    number of new tasks sorted before it (``remap``), the new blocks are
+    lowered from the graph, and only the successor rows and in-degrees an
+    added edge touched are recomputed.  The result equals
+    ``CompiledGraph.build(graph)`` column for column — ordinals included,
+    so even the per-thread dispatch heap breaks its ties identically.
+    O(N + E) list work, but no per-task linked-list walk or field reads.
+    """
+    threads = graph.threads()
+    counts = graph._counts
+    known = set(base.threads)
+    remap: List[int] = []  # base ordinal -> fresh ordinal
+    start = 0
+    for thread in threads:
+        if thread in known:
+            remap += range(start, start + counts[thread])
+        start += counts[thread]
+    shifted = bool(remap) and remap[-1] != len(remap) - 1  # increasing
+    base_rows = base._succ_rows
+    ordered = [graph.is_ordered(t) for t in threads]
+    tasks: List[Task] = []
+    duration: List[float] = []
+    gap: List[float] = []
+    thread_idx: List[int] = []
+    tnext: List[int] = []
+    indegree: List[int] = []
+    rows: List[List[int]] = []
+    inserted: List[Task] = []
+    lo = 0
+    for ti, thread in enumerate(threads):
+        start = len(tasks)
+        count = counts[thread]
+        if thread in known:
+            hi = lo + count
+            tasks += base.tasks[lo:hi]
+            duration += base._duration_l[lo:hi]
+            gap += base._gap_l[lo:hi]
+            indegree += base._indegree_l[lo:hi]
+            if shifted:
+                rows += [[remap[c] for c in row] if row else row
+                         for row in base_rows[lo:hi]]
+            else:
+                rows += base_rows[lo:hi]
+            lo = hi
+        else:
+            block = graph.tasks_on(thread)
+            tasks += block
+            inserted += block
+            duration += [t.__dict__["duration"] for t in block]
+            gap += [t.__dict__["gap"] for t in block]
+            indegree += [0] * count  # filled in below
+            rows += [_EMPTY_ROW] * count
+        thread_idx += [ti] * count
+        if ordered[ti]:
+            tnext += range(start + 1, start + count)
+            tnext.append(-1)
+        else:
+            tnext += [-1] * count
+    ordinal = dict(zip(tasks, range(len(tasks))))
+    succ = graph._succ
+    pred = graph._pred
+    prev = graph._prev
+    for task in set(inserted).union(added[0::2]):
+        rows[ordinal[task]] = _succ_row(succ[task], ordinal)
+    for task in set(inserted).union(added[1::2]):
+        i = ordinal[task]
+        # an ordered thread's predecessor gates all but the thread's head
+        indegree[i] = len(pred[task]) + (ordered[thread_idx[i]]
+                                         and prev[task] is not None)
+    _patch(duration, gap, ordinal, written)
+    return CompiledGraph(tasks, ordinal, threads, ordered, duration, gap,
+                         thread_idx, tnext, indegree, rows,
+                         graph._generation)
 
 
 # -------------------------------------------------------- batched multi-sim
@@ -570,19 +671,34 @@ class CellDelta:
     ``durations``/``gaps`` map tasks of the *baseline* graph to their
     overridden values; everything unmentioned keeps the baseline value.
     Cells are cheap: :func:`simulate_many` patches them onto copies of
-    the compiled baseline's columns without touching the graph.
+    the compiled baseline's columns without touching the graph.  Every
+    override must be finite and ``>= 0``, like the task field it replaces
+    (a NaN would silently drop its task out of the makespan); anything
+    else raises ``SimulationError`` naming the cell and the task.
     """
 
     label: str = "delta"
     durations: Dict[Task, float] = field(default_factory=dict)
     gaps: Dict[Task, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for which, overrides in (("duration", self.durations),
+                                 ("gap", self.gaps)):
+            for task, value in overrides.items():
+                # chained compares are False for NaN, so this rejects NaN
+                if not 0.0 <= value < _INF:
+                    raise SimulationError(
+                        f"cell {self.label!r} overrides the {which} of task "
+                        f"{task.name!r} with {value!r}; must be finite and "
+                        ">= 0")
+
     @classmethod
     def scale_durations(cls, tasks: Iterable[Task], factor: float,
                         label: str = "scaled") -> "CellDelta":
-        """Scale the duration of each task by ``factor`` (≥ 0)."""
-        if factor < 0:
-            raise SimulationError("duration scale factor must be >= 0")
+        """Scale the duration of each task by ``factor`` (finite, ≥ 0)."""
+        if not 0.0 <= factor < _INF:
+            raise SimulationError(
+                f"duration scale factor {factor!r} must be finite and >= 0")
         return cls(label=label,
                    durations={t: t.duration * factor for t in tasks})
 

@@ -16,6 +16,7 @@ Structure (paper Section 4.2):
   ``insert_after``       O(1)
   ``insert_before``      O(1)
   ``remove``             O(1) + O(preds x succs) when rewiring
+  ``remove_many``        O(removed + their edges) + O(rewired edges)
   ``thread_successor``   O(1)
   ``thread_predecessor`` O(1)
   ``add_dependency``     O(1)
@@ -48,13 +49,22 @@ costs what its transform touches.
 
 The journal is one flat list per graph.  Each record is its fields
 followed by its kind, so the rollback pops records off the end without
-allocating one tuple per record while the transaction is open.
+allocating one tuple per record while the transaction is open.  The
+records are: a linked task (``append``/``insert_*``), an added or removed
+edge, a thread marked unordered, a task field's prior value, and one
+record per :meth:`DependencyGraph.remove_many` call — however many tasks
+it removes.  That record keeps the removed tasks' own adjacency sets as
+dicts and each spliced run of consecutive removed tasks as a list, so its
+rollback restores them in bulk (``dict.update``) and then fixes up only
+the boundary: the survivors' cut edges, the links at each run's ends and
+the edges rewiring added.
 """
 
 import gc
 import weakref
+from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.common.errors import GraphConsistencyError
 from repro.core.task import Task
@@ -62,8 +72,9 @@ from repro.tracing.records import ExecutionThread
 
 # undo-journal record kinds; a record is its fields, then its kind
 _LINKED = 0        # task, thread: append / insert_*
-_REMOVED = 1       # task, thread, prev, next, succs, preds (rewired edges
-                   # follow as _EDGE_ADDED records)
+_REMOVED_MANY = 1  # remove_many: the removed tasks' succ and pred sets
+                   # (dicts), cut survivor edges in and out, thread runs,
+                   # rewired edges
 _EDGE_ADDED = 2    # src, dst
 _EDGE_REMOVED = 3  # src, dst
 _UNORDERED = 4     # thread
@@ -273,36 +284,109 @@ class DependencyGraph:
             self._journal.extend((task, thread, _LINKED))
 
     def remove(self, task: Task, rewire: bool = True) -> None:
-        """Remove a task.  O(1) splice plus optional O(preds x succs) rewire.
+        """Remove one task: :meth:`remove_many` of a one-element set."""
+        self.remove_many((task,), rewire)
 
-        With ``rewire=True`` (default) each explicit predecessor is connected
-        to each explicit successor, preserving transitive ordering across the
-        removed node.  Sequential thread order heals automatically (the
-        linked-list splice joins the neighbors).
+    def remove_many(self, tasks: Iterable[Task], rewire: bool = True) -> None:
+        """Remove a set of tasks at once.  O(removed + their edges + rewire).
+
+        Every task is checked first: an unknown one raises
+        :class:`GraphConsistencyError` and leaves the graph untouched
+        (a task listed twice is removed once).  Each run of consecutive
+        removed tasks is spliced out of its thread once, so thread order
+        heals across the run.  With ``rewire=True`` (default) each
+        surviving explicit predecessor is connected to each surviving
+        explicit successor it reached through removed tasks only — the
+        edge sets that removing the tasks one by one gives, in any order.
+        Inside a transaction the whole removal is one journal record.
         """
-        succs = self._succ.pop(task, None)
-        if succs is None:
+        succ = self._succ
+        doomed = dict.fromkeys(tasks)
+        inside = doomed.keys()
+        if not succ.keys() >= inside:
+            task = next(t for t in doomed if t not in succ)
             raise GraphConsistencyError(f"task not in graph: {task!r}")
         self._generation += 1
-        preds = self._pred.pop(task)
-        for p in preds:
-            self._succ[p].discard(task)
-        for s in succs:
-            self._pred[s].discard(task)
-        thread = task.thread
-        prv, nxt = self._unlink(task, thread)
-        journal = self._journal
-        if journal is not None:
-            journal.extend((task, thread, prv, nxt, succs, preds, _REMOVED))
-        if rewire:
-            for p in preds:
-                succ_p = self._succ[p]
-                for s in succs:
+        pred = self._pred
+        prv = self._prev
+        nxt = self._next
+        # runs of consecutive removed tasks on a thread, in thread order:
+        # (thread, survivor before, the run, survivor after)
+        runs = []
+        for task in [t for t in doomed if prv[t] not in doomed]:
+            run = [task]
+            after = nxt[task]
+            while after in doomed:
+                run.append(after)
+                after = nxt[after]
+            runs.append((task.thread, prv[task], run, after))
+        heads = self._heads
+        tails = self._tails
+        counts = self._counts
+        for thread, before, run, after in runs:
+            if before is None and after is None:
+                del heads[thread], tails[thread], counts[thread]
+                continue
+            if before is None:
+                heads[thread] = after
+            else:
+                nxt[before] = after
+            if after is None:
+                tails[thread] = before
+            else:
+                prv[after] = before
+            counts[thread] -= len(run)
+        for links in (prv, nxt):
+            deque(map(links.pop, doomed), 0)
+        # the removed tasks' own edge sets, kept for the rollback; the
+        # edges to survivors are cut and kept as flattened (survivor,
+        # removed) and (removed, survivor) pairs, and entries pair each
+        # removed task with its surviving predecessors, where rewiring
+        # starts
+        succs = dict(zip(doomed, map(succ.pop, doomed)))
+        preds = dict(zip(doomed, map(pred.pop, doomed)))
+        cut_in: list = []
+        cut_out: list = []
+        entries = []
+        # one C-level union first: often no edge leaves the removed set
+        if not inside >= set().union(*preds.values()):
+            for task, ps in preds.items():
+                outside = [p for p in ps if p not in doomed]
+                if outside:
+                    entries.append((task, outside))
+                    for p in outside:
+                        succ[p].discard(task)
+                        cut_in += (p, task)
+        if not inside >= set().union(*succs.values()):
+            for task, ss in succs.items():
+                for s in ss:
+                    if s not in doomed:
+                        pred[s].discard(task)
+                        cut_out += (task, s)
+        added: list = []
+        for task, outside in entries if rewire else ():
+            # the survivors this task's explicit successors reach through
+            # removed tasks only
+            exits = set()
+            stack = [task]
+            seen = {task}
+            while stack:
+                for c in succs[stack.pop()]:
+                    if c not in doomed:
+                        exits.add(c)
+                    elif c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+            for p in outside:
+                succ_p = succ[p]
+                for s in exits:
                     if p is not s and s not in succ_p:
                         succ_p.add(s)
-                        self._pred[s].add(p)
-                        if journal is not None:
-                            journal.extend((p, s, _EDGE_ADDED))
+                        pred[s].add(p)
+                        added += (p, s)
+        if self._journal is not None:
+            self._journal.extend((succs, preds, cut_in, cut_out, runs, added,
+                                  _REMOVED_MANY))
 
     def _link(self, task: Task, thread: ExecutionThread,
               prv: Optional[Task], nxt: Optional[Task]) -> None:
@@ -319,15 +403,15 @@ class DependencyGraph:
             self._prev[nxt] = task
         self._counts[thread] = self._counts.get(thread, 0) + 1
 
-    def _unlink(self, task: Task, thread: ExecutionThread):
-        """Splice ``task`` out of its thread; returns its old neighbors."""
+    def _unlink(self, task: Task, thread: ExecutionThread) -> None:
+        """Splice ``task`` out of its thread."""
         prv = self._prev.pop(task)
         nxt = self._next.pop(task)
         if prv is None and nxt is None:
             del self._heads[thread]
             del self._tails[thread]
             del self._counts[thread]
-            return prv, nxt
+            return
         if prv is None:
             self._heads[thread] = nxt
         else:
@@ -337,7 +421,6 @@ class DependencyGraph:
         else:
             self._prev[nxt] = prv
         self._counts[thread] -= 1
-        return prv, nxt
 
     def add_dependency(self, src: Task, dst: Task) -> None:
         """Add an explicit edge ``src -> dst``.  O(1)."""
@@ -596,20 +679,8 @@ class DependencyGraph:
                     fields.pop(name, None)
                 else:
                     fields[name] = old
-            elif kind == _REMOVED:
-                preds = pop()
-                succs = pop()
-                nxt = pop()
-                prv = pop()
-                thread = pop()
-                task = pop()
-                self._link(task, thread, prv, nxt)
-                succ[task] = succs
-                pred[task] = preds
-                for p in preds:
-                    succ[p].add(task)
-                for s in succs:
-                    pred[s].add(task)
+            elif kind == _REMOVED_MANY:
+                self._unremove(*[pop() for _ in range(6)])
             elif kind == _LINKED:
                 thread = pop()
                 task = pop()
@@ -628,4 +699,36 @@ class DependencyGraph:
                 pred[dst].add(src)
             else:
                 self._unordered.discard(pop())
+
+    def _unremove(self, added, runs, cut_out, cut_in, preds, succs) -> None:
+        """Undo one :meth:`remove_many` (its record's fields, popped)."""
+        succ = self._succ
+        pred = self._pred
+        for i in range(0, len(added), 2):
+            p, s = added[i], added[i + 1]
+            succ[p].discard(s)
+            pred[s].discard(p)
+        succ.update(succs)
+        pred.update(preds)
+        for i in range(0, len(cut_in), 2):
+            succ[cut_in[i]].add(cut_in[i + 1])
+        for i in range(0, len(cut_out), 2):
+            pred[cut_out[i + 1]].add(cut_out[i])
+        prv = self._prev
+        nxt = self._next
+        heads = self._heads
+        tails = self._tails
+        counts = self._counts
+        for thread, before, run, after in runs:
+            prv.update(zip(run, [before, *run[:-1]]))
+            nxt.update(zip(run, [*run[1:], after]))
+            if before is None:
+                heads[thread] = run[0]
+            else:
+                nxt[before] = run[0]
+            if after is None:
+                tails[thread] = run[-1]
+            else:
+                prv[after] = run[-1]
+            counts[thread] = counts.get(thread, 0) + len(run)
 

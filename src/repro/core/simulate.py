@@ -130,7 +130,7 @@ def simulate(
     (:mod:`repro.core.compiled`) runs on the graph's cached lowering,
     lowering it first when a mutation made it stale.  Inside an open
     what-if transaction (``DependencyGraph.overlay``) the base lowering is
-    patched or the transacted graph relowered, never cached
+    patched or spliced, or the transacted graph relowered, never cached
     (:func:`repro.core.compiled.simulate_transacted`).
 
     Raises:

@@ -36,7 +36,12 @@ class TaskKind(enum.Enum):
 
     @property
     def is_gpu(self) -> bool:
-        return self in (TaskKind.GPU_KERNEL, TaskKind.MEMCPY)
+        return self in GPU_KINDS
+
+
+#: the GPU-side kinds; ``task.kind in GPU_KINDS`` is the call-free form of
+#: ``task.is_gpu`` for loops over every task
+GPU_KINDS = (TaskKind.GPU_KERNEL, TaskKind.MEMCPY)
 
 
 @dataclass(eq=False)

@@ -10,15 +10,18 @@ Daydream models optimizations as combinations of a small primitive set:
 * ``schedule``           — override the simulator's scheduling policy
                            (handled in :mod:`repro.core.simulate`).
 
-These functions mutate a graph in place; optimization models normally apply
-them to ``graph.copy()`` so one baseline profile answers many questions.
+These functions mutate a graph in place.  A what-if session applies them
+inside a journaled transaction on its base graph (``with graph.overlay()
+as g:``), which rolls every change back on exit, so one baseline profile
+answers many questions; :func:`remove_gpu_tasks` removes a whole task set
+as one journal record.
 """
 
 from typing import Callable, Iterable, List, Optional
 
 from repro.common.errors import GraphConsistencyError
 from repro.core.graph import DependencyGraph
-from repro.core.task import Task, TaskKind
+from repro.core.task import GPU_KINDS, Task, TaskKind
 from repro.tracing.records import ExecutionThread
 
 # ----------------------------------------------------------------- selection
@@ -70,22 +73,37 @@ def shrink_durations(tasks: Iterable[Task], divisor: float) -> int:
 
 # ------------------------------------------------------------- insert/remove
 
-def remove_gpu_task(graph: DependencyGraph, gpu_task: Task,
-                    remove_launch: bool = True) -> None:
-    """Remove a GPU task and (by default) its CPU launch API.
+def remove_gpu_tasks(graph: DependencyGraph, gpu_tasks: Iterable[Task],
+                     remove_launch: bool = True) -> None:
+    """Remove GPU tasks and (by default) their CPU launch APIs, at once.
 
     Mirrors the paper's Figure 4(b): deleting a GPU kernel also deletes the
     ``cudaLaunchKernel`` that triggered it, since a fused/removed kernel is
     never launched.  The launch's gap is preserved on its thread predecessor
     only implicitly — removing the launch removes its trailing gap, which is
     exactly the CPU time the optimization eliminates.
+
+    The kernels plus every launch still in the graph go through one
+    :meth:`DependencyGraph.remove_many` (rewiring), so removing thousands of
+    kernels is one splice pass and one journal record.  A task that is not
+    a GPU task raises before anything is removed.
     """
-    if not gpu_task.is_gpu:
-        raise GraphConsistencyError(f"not a GPU task: {gpu_task!r}")
-    launch = gpu_task.metadata.get("launched_by")
-    graph.remove(gpu_task)
-    if remove_launch and isinstance(launch, Task) and launch in graph:
-        graph.remove(launch)
+    doomed = list(gpu_tasks)
+    for task in doomed:
+        if task.kind not in GPU_KINDS:
+            raise GraphConsistencyError(f"not a GPU task: {task!r}")
+    if remove_launch:
+        for task in doomed[:]:
+            launch = task.metadata.get("launched_by")
+            if isinstance(launch, Task) and launch in graph:
+                doomed.append(launch)
+    graph.remove_many(doomed)
+
+
+def remove_gpu_task(graph: DependencyGraph, gpu_task: Task,
+                    remove_launch: bool = True) -> None:
+    """Remove one GPU task (and its launch): see :func:`remove_gpu_tasks`."""
+    remove_gpu_tasks(graph, (gpu_task,), remove_launch)
 
 
 def insert_gpu_task(

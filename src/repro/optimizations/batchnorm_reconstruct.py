@@ -38,7 +38,6 @@ class ReconstructBatchnorm(OptimizationModel):
             t for t in transform.select_gpu_tasks(graph)
             if t.layer is not None and kinds.get(t.layer) == "batchnorm"
         ]
-        for task in relu_tasks:
-            transform.remove_gpu_task(graph, task, remove_launch=True)
+        transform.remove_gpu_tasks(graph, relu_tasks, remove_launch=True)
         transform.shrink_durations(bn_tasks, BATCHNORM_SHRINK)
         return WhatIfOutcome(graph=graph)

@@ -15,15 +15,19 @@ unfused Adam step with one multi-tensor kernel.  The Daydream model:
    the sum of all removed compute-intensive kernels".
 """
 
+import re
+
 from repro.common.errors import GraphConsistencyError
 from repro.core import transform
 from repro.core.graph import DependencyGraph
+from repro.core.task import GPU_KINDS
 from repro.optimizations.base import OptimizationModel, WhatIfContext, WhatIfOutcome
 
 #: kernel-name substrings of the Adam step's compute core (the actual
 #: moment/update math, as opposed to bookkeeping like zero_grad or bias
 #: correction scalars)
 CORE_UPDATE_MARKERS = ("addcmul", "addcdiv", "mul_exp_avg")
+_CORE_UPDATE = re.compile("|".join(map(re.escape, CORE_UPDATE_MARKERS)))
 
 
 class FusedAdam(OptimizationModel):
@@ -32,17 +36,17 @@ class FusedAdam(OptimizationModel):
     name = "fused_adam"
 
     def apply(self, graph: DependencyGraph, context: WhatIfContext) -> WhatIfOutcome:
-        wu_gpu = [t for t in transform.select_by_phase(graph, "weight_update")
-                  if t.is_gpu]
+        # plain field reads, phase first (it rejects most tasks): this
+        # scan visits every task of the graph
+        wu_gpu = graph.select(
+            lambda t: t.phase == "weight_update" and t.kind in GPU_KINDS)
         if not wu_gpu:
             raise GraphConsistencyError(
                 "no weight-update GPU tasks found; is the model trained with "
                 "Adam and the task-to-layer mapping applied?"
             )
-        fused_estimate = sum(
-            t.duration for t in wu_gpu
-            if any(marker in t.name for marker in CORE_UPDATE_MARKERS)
-        )
+        fused_estimate = sum(t.duration for t in wu_gpu
+                             if _CORE_UPDATE.search(t.name))
         if fused_estimate == 0.0:
             # non-Adam optimizer traces: fall back to the full sum
             fused_estimate = transform.total_duration(wu_gpu)
@@ -54,6 +58,5 @@ class FusedAdam(OptimizationModel):
         keep.name = "multi_tensor_apply_kernel_fused_adam"
         keep.duration = fused_estimate
         keep.layer = "fused_adam"
-        for task in rest:
-            transform.remove_gpu_task(graph, task, remove_launch=True)
+        transform.remove_gpu_tasks(graph, rest, remove_launch=True)
         return WhatIfOutcome(graph=graph)

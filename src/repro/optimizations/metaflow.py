@@ -60,9 +60,9 @@ class MetaFlowSubstitution(OptimizationModel):
     def apply(self, graph: DependencyGraph, context: WhatIfContext) -> WhatIfOutcome:
         policy = self._resolve(context)
         removed = set(policy.remove_layers)
-        for task in [t for t in transform.select_gpu_tasks(graph)
-                     if t.layer in removed]:
-            transform.remove_gpu_task(graph, task, remove_launch=True)
+        transform.remove_gpu_tasks(
+            graph, [t for t in transform.select_gpu_tasks(graph)
+                    if t.layer in removed], remove_launch=True)
         for layer, factor in policy.scale_layers.items():
             tasks = transform.select_by_layer(graph, lambda l: l == layer)
             transform.scale_durations([t for t in tasks if t.is_gpu], factor)

@@ -270,6 +270,29 @@ class TestSimulateMany:
         with pytest.raises(SimulationError):
             CellDelta.scale_durations(gpu, -1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), -5.0, float("inf")])
+    @pytest.mark.parametrize("which", ["durations", "gaps"])
+    def test_cell_rejects_non_finite_or_negative_override(self, which,
+                                                          value):
+        # on a two-task chain a NaN or negative override used to drop the
+        # task out of the makespan (1.0), and inf made it inf
+        g = DependencyGraph()
+        g.append(make_task("a", cpu_thread(0), 1.0))
+        b = g.append(make_task("b", cpu_thread(0), 2.0))
+        with pytest.raises(SimulationError,
+                           match=r"cell 'bad' overrides .* task 'b'"):
+            CellDelta(label="bad", **{which: {b: value}})
+        # zero is a valid override
+        (ok,) = simulate_many(compiled_for(g),
+                              [CellDelta(**{which: {b: 0.0}})])
+        assert ok.makespan_us == {"durations": 1.0, "gaps": 3.0}[which]
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -0.5])
+    def test_scale_durations_rejects_non_finite_factor(self, factor):
+        g = small_graph()
+        with pytest.raises(SimulationError, match="must be finite"):
+            CellDelta.scale_durations(g.tasks(), factor)
+
     def test_runner_run_cells_labels_predictions(self):
         from repro.optimizations import FusedAdam
         from repro.scenarios.runner import ScenarioRunner

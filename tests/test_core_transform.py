@@ -100,6 +100,31 @@ class TestRemoveGpuTask:
             transform.remove_gpu_task(working, task)
         assert simulate(working).makespan_us < baseline
 
+    def test_bulk_removal_matches_one_by_one(self, tiny_graph):
+        one_by_one = tiny_graph.copy()
+        wu = [t for t in transform.select_by_phase(one_by_one,
+                                                   "weight_update")
+              if t.is_gpu]
+        for task in wu[:-1]:
+            transform.remove_gpu_task(one_by_one, task)
+        bulk = tiny_graph.copy()
+        wu = [t for t in transform.select_by_phase(bulk, "weight_update")
+              if t.is_gpu]
+        transform.remove_gpu_tasks(bulk, wu[:-1])
+        bulk.validate()
+        assert [t.name for t in bulk.tasks()] == \
+            [t.name for t in one_by_one.tasks()]
+        assert simulate(bulk).makespan_us == simulate(one_by_one).makespan_us
+
+    def test_bulk_removal_rejects_a_cpu_task_before_removing(self,
+                                                            tiny_graph):
+        gpu = transform.select_gpu_tasks(tiny_graph)[:3]
+        cpu = next(t for t in tiny_graph.tasks() if t.is_cpu)
+        n = len(tiny_graph)
+        with pytest.raises(GraphConsistencyError, match="not a GPU task"):
+            transform.remove_gpu_tasks(tiny_graph, gpu + [cpu])
+        assert len(tiny_graph) == n
+
 
 class TestInsertGpuTask:
     def test_inserts_kernel_with_launch(self, tiny_graph):

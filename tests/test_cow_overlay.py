@@ -7,7 +7,10 @@ replaced).  These tests pin the contract the what-if session relies on
 
 * inside, ``simulate`` sees the transformed graph, bit-identical to
   transforming a deep copy, on the patched base lowering (field writes
-  only) or a fresh uncached lowering (structural changes);
+  only), the base lowering spliced with new threads (insertions on new
+  threads), or a fresh uncached lowering (other structural changes);
+* ``remove_many`` gives the graph that removing its tasks one by one
+  gives, and rolls back as one journal record;
 * on exit — also when the body raises — thread order, edge sets, task
   fields, the mutation generation and the cached lowering are exactly the
   ones from before;
@@ -18,6 +21,7 @@ replaced).  These tests pin the contract the what-if session relies on
 import gc
 import re
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +32,12 @@ from test_simulator_equivalence import random_graph
 from repro.analysis.session import WhatIfSession
 from repro.common.errors import GraphConsistencyError
 from repro.core.compiled import CellDelta, CompiledGraph, compiled_for, simulate_many
-from repro.core.graph import DependencyGraph, _StampedTask
+from repro.core.graph import (
+    _FIELD,
+    _REMOVED_MANY,
+    DependencyGraph,
+    _StampedTask,
+)
 from repro.core.simulate import make_priority_scheduler, simulate
 from repro.core.task import Task, TaskKind
 from repro.framework.config import TrainingConfig
@@ -40,6 +49,7 @@ from repro.optimizations import (
     AutomaticMixedPrecision,
     DistributedTraining,
     FusedAdam,
+    PriorityParameterPropagation,
 )
 from repro.optimizations.base import OptimizationModel
 from repro.tracing.records import comm_channel, cpu_thread, gpu_stream
@@ -205,27 +215,50 @@ class TestJournal:
         assert compiled_for(tiny_graph) is base
 
 
-THREADS = (cpu_thread(0), gpu_stream(0), gpu_stream(1), comm_channel(0))
+THREADS = (cpu_thread(0), gpu_stream(0), gpu_stream(1), comm_channel(0),
+           comm_channel(1))
+#: positions in THREADS of threads ``random_graph`` never draws
+NEW_THREADS = (2, 4)
 
 _index = st.integers(min_value=0, max_value=10_000)
 _value = st.floats(min_value=0.0, max_value=10.0)
 _write = st.tuples(st.sampled_from(["duration", "gap", "priority"]), _index,
                    _value)
+_append = st.tuples(st.just("append"), st.sampled_from(range(len(THREADS))),
+                    _value)
+_append_new = st.tuples(st.just("append"), st.sampled_from(NEW_THREADS),
+                        _value)
+_insert = st.tuples(st.sampled_from(["insert_after", "insert_before"]),
+                    _index, _value)
+_add_edge = st.tuples(st.just("add_edge"), _index, _index)
 _op = st.one_of(
     _write,
-    st.tuples(st.just("append"), st.sampled_from(range(len(THREADS))),
-              _value),
-    st.tuples(st.sampled_from(["insert_after", "insert_before"]), _index,
-              _value),
+    _append,
+    _insert,
     st.tuples(st.just("remove"), _index, st.booleans()),
+    st.tuples(st.just("remove_many"), st.lists(_index, max_size=4),
+              st.booleans()),
     st.tuples(st.sampled_from(["add_edge", "remove_edge"]), _index, _index),
     st.tuples(st.just("unordered"), st.sampled_from(range(len(THREADS))),
               _value),
 )
-#: a field-writes-only script takes the column-patch path; a mixed one
-#: relowers
-_script = st.one_of(st.lists(_write, max_size=12),
-                    st.lists(_op, max_size=12))
+_unordered_new = st.tuples(st.just("unordered"), st.sampled_from(NEW_THREADS),
+                           _value)
+#: field writes, edges, and tasks appended on (or order dropped from) new
+#: threads only: this takes the splice path
+_splice_script = st.lists(
+    st.one_of(_write, _append_new, _add_edge, _unordered_new),
+    min_size=1, max_size=12)
+#: a field-writes-only script takes the column-patch path, an insert-only
+#: one the splice path when every insertion lands on a new thread;
+#: anything else relowers
+_script = st.one_of(
+    st.lists(_write, max_size=12),
+    _splice_script,
+    st.lists(st.one_of(_write, _append_new, _append, _insert, _add_edge),
+             min_size=1, max_size=12),
+    st.lists(_op, max_size=12),
+)
 
 
 def _reaches(graph, src, dst):
@@ -259,6 +292,9 @@ def run_script(graph, script):
             graph.mark_unordered(THREADS[a])
             continue
         if not tasks:
+            continue
+        if op == "remove_many":
+            graph.remove_many([tasks[i % len(tasks)] for i in a], rewire=b)
             continue
         task = tasks[a % len(tasks)]
         if op in ("duration", "gap"):
@@ -325,6 +361,135 @@ def test_transaction_matches_copy_and_rolls_back(g, script, abort_at):
             run_script(working, script[:abort_at])
             raise Abort
     assert_restored(g, before)
+
+
+def _structure(graph):
+    """Thread order, edges, counts, heads and tails, by task name (the
+    names ``random_graph`` draws are unique)."""
+    return {
+        "order": {th: [t.name for t in graph.iter_tasks_on(th)]
+                  for th in graph.threads()},
+        "edges": {(a.name, b.name) for a in graph.tasks()
+                  for b in graph.successors(a)},
+        "counts": dict(graph._counts),
+        "heads": {th: t.name for th, t in graph._heads.items()},
+        "tails": {th: t.name for th, t in graph._tails.items()},
+    }
+
+
+def _model_remove(model, name, rewire):
+    """Remove one task from a ``_structure`` model, independently of the
+    graph code: splice its thread list, rewire preds x succs."""
+    for thread, names in list(model["order"].items()):
+        if name in names:
+            names.remove(name)
+            if names:
+                model["counts"][thread] = len(names)
+                model["heads"][thread] = names[0]
+                model["tails"][thread] = names[-1]
+            else:
+                for key in ("order", "counts", "heads", "tails"):
+                    del model[key][thread]
+    edges = model["edges"]
+    preds = {a for a, b in edges if b == name}
+    succs = {b for a, b in edges if a == name}
+    edges -= {(a, b) for a, b in edges if name in (a, b)}
+    if rewire:
+        edges |= {(p, q) for p in preds for q in succs if p != q}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graph(), st.lists(st.booleans(), min_size=1, max_size=30),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_remove_many_matches_sequential_removes(g, picks, rewire, rnd):
+    tasks = g.tasks()
+    # a drawn subset, often large enough to hold explicit chains of
+    # removed tasks; its first task listed twice
+    doomed = [t for i, t in enumerate(tasks) if picks[i % len(picks)]]
+    doomed += doomed[:1]
+    simulate(g)
+    before = snapshot(g)
+
+    # rollback restores the graph exactly, also when the body raises
+    with g.overlay() as working:
+        working.remove_many(doomed, rewire)
+        working.validate()
+        assert sum(1 for k in working._journal if k == _REMOVED_MANY) == 1
+    assert_restored(g, before)
+    with pytest.raises(Abort):
+        with g.overlay() as working:
+            working.remove_many(doomed, rewire)
+            raise Abort
+    assert_restored(g, before)
+
+    # the same graph as removing one at a time, in any order, on a copy
+    # and in an independent model
+    reference = g.copy()
+    clone_of = {t.name: t for t in reference.tasks()}
+    one_by_one = list(dict.fromkeys(doomed))
+    rnd.shuffle(one_by_one)
+    model = _structure(g)
+    for task in one_by_one:
+        reference.remove(clone_of[task.name], rewire)
+        _model_remove(model, task.name, rewire)
+    g.remove_many(doomed, rewire)
+    g.validate()
+    assert _structure(g) == _structure(reference) == model
+
+
+def test_remove_many_rejects_unknown_and_removed_tasks_untouched():
+    g = DependencyGraph()
+    a = g.append(make_task("a"))
+    b = g.append(make_task("b", thread=gpu_stream(0)))
+    c = g.append(make_task("c"))
+    g.add_dependency(a, b)
+    g.remove(c)
+    stranger = make_task("stranger")
+    simulate(g)
+    before = snapshot(g)
+    for bad in ([a, stranger], [b, c]):
+        with pytest.raises(GraphConsistencyError, match="not in graph"):
+            g.remove_many(bad)
+        assert_restored(g, before)
+        with g.overlay() as working:
+            with pytest.raises(GraphConsistencyError):
+                working.remove_many(bad)
+            assert working._journal == []
+        assert_restored(g, before)
+
+
+def _assert_same_run(result, ours, expected, theirs):
+    """Two runs agree task for task by thread-major position: values,
+    iteration order, ordinal ranks and the critical-task ranking."""
+    pos_ours = {t: i for i, t in enumerate(ours)}
+    pos_theirs = {t: i for i, t in enumerate(theirs)}
+    assert result.makespan_us == expected.makespan_us
+    assert [pos_ours[t] for t in result.start_us] == \
+        [pos_theirs[t] for t in expected.start_us]
+    assert list(result.start_us.values()) == list(expected.start_us.values())
+    assert list(result.thread_busy.items()) == \
+        list(expected.thread_busy.items())
+    assert [result.ordinals[t] for t in ours] == \
+        [expected.ordinals[t] for t in theirs]
+    top = len(ours)
+    assert [pos_ours[t] for t in result.critical_tasks(top)] == \
+        [pos_theirs[t] for t in expected.critical_tasks(top)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_graph(), _splice_script)
+def test_splice_equals_a_fresh_lowering(g, script):
+    simulate(g)  # warm base lowering
+    with g.overlay() as working:
+        run_script(working, script)
+        reference = working.copy()
+        for policy in (None, make_priority_scheduler(_prioritized)):
+            with mock.patch.object(CompiledGraph, "build", side_effect=
+                                   AssertionError("relowered")):
+                result = simulate(working, policy)
+            expected = CompiledGraph.build(reference).run(policy)
+            _assert_same_run(result, working.tasks(), expected,
+                             reference.tasks())
 
 
 def _lowered_columns(compiled):
@@ -462,6 +627,49 @@ class TestCowSession:
         (direct,) = simulate_many(session.compiled_baseline(), [cell])
         assert again.makespan_us == expected.makespan_us
         assert direct.makespan_us == expected.makespan_us
+
+    def test_warm_insert_only_questions_do_not_relower(self, session,
+                                                       monkeypatch):
+        """DDP and AMP+DDP only add an all-reduce channel and its edges,
+        P3 two unordered push/pull channels: they simulate on the spliced
+        base lowering, and agree with a deep copy lowered from scratch."""
+        from repro.scenarios.pipeline import OptimizationPipeline
+
+        cluster = ClusterSpec(2, 2, GPU_2080TI, NetworkSpec(bandwidth_gbps=10))
+        questions = [DistributedTraining(),
+                     OptimizationPipeline([AutomaticMixedPrecision(),
+                                           DistributedTraining()]),
+                     PriorityParameterPropagation()]
+        expected = []
+        for question in questions:
+            outcome = question.apply(session.graph.copy(),
+                                     session.context(cluster))
+            expected.append(simulate(outcome.graph,
+                                     outcome.scheduler).makespan_us)
+        session.baseline_result  # the warm base lowering
+        builds = []
+        original = CompiledGraph.build.__func__
+        monkeypatch.setattr(CompiledGraph, "build", classmethod(
+            lambda cls, graph: builds.append(graph) or original(cls, graph)))
+        answers = [session.predict(q, cluster=cluster).predicted_us
+                   for q in questions]
+        assert builds == []
+        assert answers == expected
+
+    def test_fused_adam_removal_is_one_journal_record(self, session):
+        graph = session.graph
+        session.baseline_result
+        with graph.overlay() as working:
+            FusedAdam().apply(working, session.context())
+            journal = working._journal
+            kinds = []
+            i = len(journal) - 1
+            while i >= 0:
+                kinds.append(journal[i])
+                i -= 4 if journal[i] == _FIELD else 7
+            assert i == -1
+        assert kinds.count(_REMOVED_MANY) == 1
+        assert set(kinds) == {_FIELD, _REMOVED_MANY}
 
     def test_raising_model_leaves_baseline_and_next_prediction(
             self, session):
