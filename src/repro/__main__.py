@@ -215,28 +215,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from functools import partial
+    from repro.experiments import experiment_runners
 
-    from repro.experiments import (
-        fig1_timeline, fig5_amp, fig6_breakdown, fig7_fusedadam,
-        fig8_distributed, fig9_nccl, fig10_p3, sec52_modeling,
-        sec64_batchnorm, sec75_concurrency, table1_catalog,
-    )
-    runners = {
-        "fig1": fig1_timeline.run,
-        "table1": table1_catalog.run,
-        "fig5": fig5_amp.run,
-        "fig6": fig6_breakdown.run,
-        "fig7": fig7_fusedadam.run,
-        "fig8": fig8_distributed.run,
-        "fig9": fig9_nccl.run,
-        "fig9b": fig9_nccl.run_sync_impact,
-        "fig10-resnet50": partial(fig10_p3.run, "resnet50"),
-        "fig10-vgg19": partial(fig10_p3.run, "vgg19"),
-        "sec52": sec52_modeling.run,
-        "sec64": sec64_batchnorm.run,
-        "sec75": sec75_concurrency.run,
-    }
+    runners = experiment_runners()
     if args.name not in runners:
         print(f"unknown experiment {args.name!r}; "
               f"choose from {sorted(runners)}", file=sys.stderr)

@@ -29,16 +29,12 @@ from repro.experiments.common import (
     cached_measurements,
     experiment_store,
 )
-from repro.framework.paramserver import run_ps_baseline, run_ps_p3
+from repro.framework.groundtruth import PS_BASELINE_KIND, PS_P3_KIND
 from repro.scenarios import Scenario, ScenarioRunner
 
 RESNET_BANDWIDTHS = (1.0, 2.0, 4.0, 6.0, 8.0)
 VGG_BANDWIDTHS = (5.0, 10.0, 15.0, 20.0, 25.0)
 MACHINES = 4
-
-#: store kinds for the two measured parameter-server series
-BASELINE_KIND = "groundtruth:ps-baseline"
-P3_KIND = "groundtruth:ps-p3"
 
 
 def run(model_name: str = "resnet50",
@@ -75,18 +71,10 @@ def run(model_name: str = "resnet50",
     outcomes = [runner.run(base.with_cluster(MACHINES, 1, bandwidth_gbps=bw))
                 for bw in bandwidths]
 
-    requests = []
-    for outcome in outcomes:
-        requests.append((outcome.scenario, BASELINE_KIND,
-                         lambda o=outcome: run_ps_baseline(
-                             o.model, o.cluster, o.config,
-                             trace=o.session.trace).iteration_us))
-        requests.append((outcome.scenario, P3_KIND,
-                         lambda o=outcome: run_ps_p3(
-                             o.model, o.cluster, o.config,
-                             trace=o.session.trace).iteration_us))
-    measured = cached_measurements(requests, store=store, force=force,
-                                   jobs=jobs)
+    measured = cached_measurements(
+        [(o.scenario, kind) for o in outcomes
+         for kind in (PS_BASELINE_KIND, PS_P3_KIND)],
+        store=store, force=force, jobs=jobs, runner=runner)
     for bw, outcome, baseline_us, truth_us in zip(bandwidths, outcomes,
                                                   measured[0::2],
                                                   measured[1::2]):

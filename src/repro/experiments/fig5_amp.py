@@ -19,13 +19,10 @@ from repro.experiments.common import (
     cached_measurements,
     experiment_store,
 )
-from repro.framework import groundtruth
+from repro.framework.groundtruth import AMP_KIND
 from repro.scenarios import Scenario, ScenarioRunner
 
 MODELS = ("bert_base", "bert_large", "gnmt", "resnet50")
-
-#: store kind for the measured (engine) AMP iteration of each model
-GROUNDTRUTH_KIND = "groundtruth:amp"
 
 
 def run(models: Optional[List[str]] = None,
@@ -58,11 +55,9 @@ def run(models: Optional[List[str]] = None,
     else:
         outcomes = [runner.run(s) for s in scenarios]
 
-    truths = cached_measurements(
-        [(o.scenario, GROUNDTRUTH_KIND,
-          lambda o=o: groundtruth.run_amp(o.model, o.config).iteration_us)
-         for o in outcomes],
-        store=store, force=force, jobs=jobs)
+    truths = cached_measurements([(s, AMP_KIND) for s in scenarios],
+                                 store=store, force=force, jobs=jobs,
+                                 runner=runner)
     for outcome, truth_us in zip(outcomes, truths):
         result.add_row(
             outcome.scenario.model,

@@ -20,13 +20,10 @@ from repro.experiments.common import (
     cached_measurements,
     experiment_store,
 )
-from repro.framework import groundtruth
+from repro.framework.groundtruth import FUSED_ADAM_KIND
 from repro.scenarios import Scenario, ScenarioRunner
 
 MODELS = ("bert_base", "bert_large", "gnmt")
-
-#: store kind for the measured (engine) FusedAdam iteration of each model
-GROUNDTRUTH_KIND = "groundtruth:fused-adam"
 
 
 def run(models: Optional[List[str]] = None,
@@ -36,7 +33,7 @@ def run(models: Optional[List[str]] = None,
 
     Args:
         models: subset of :data:`MODELS` to evaluate.
-        jobs: fan the per-model engine measurements across fork workers.
+        jobs: fan the per-model engine measurements across workers.
         store: a :class:`~repro.scenarios.store.SweepStore` (or its
             directory path) caching the ground-truth measurements.
         force: recompute measurements even on store hits.
@@ -56,11 +53,8 @@ def run(models: Optional[List[str]] = None,
                 for name in models or MODELS]
 
     truths = cached_measurements(
-        [(o.scenario, GROUNDTRUTH_KIND,
-          lambda o=o: groundtruth.run_fused_adam(o.model,
-                                                 o.config).iteration_us)
-         for o in outcomes],
-        store=store, force=force, jobs=jobs)
+        [(o.scenario, FUSED_ADAM_KIND) for o in outcomes],
+        store=store, force=force, jobs=jobs, runner=runner)
     for outcome, truth_us in zip(outcomes, truths):
         wu_kernels = sum(
             1 for t in outcome.session.graph.tasks()

@@ -25,19 +25,13 @@ from repro.experiments.common import (
     cached_measurements,
     experiment_store,
 )
-from repro.framework import groundtruth
+from repro.framework.groundtruth import DDP_SYNC_KIND
 from repro.scenarios import Scenario, ScenarioRunner
 
 MODELS = ("resnet50", "gnmt", "bert_base", "bert_large")
 CONFIGS: Sequence[Tuple[int, int]] = ((1, 1), (2, 1), (3, 1), (4, 1),
                                       (2, 2), (3, 2), (4, 2))
 BANDWIDTHS_GBPS = (10, 20, 40)
-
-#: store kind for the measured (engine) side of each cell — the
-#: measurement depends only on (model, cluster, config), so it is keyed
-#: on the stack-stripped scenario and every experiment sharing a
-#: deployment (e.g. fig9b's sync cells) shares one entry
-GROUNDTRUTH_KIND = "groundtruth:ddp-sync"
 
 
 def run(models: Optional[List[str]] = None,
@@ -75,15 +69,12 @@ def run(models: Optional[List[str]] = None,
     outcomes = ScenarioRunner().run_grid(scenarios, parallel=jobs,
                                          store=store, force=force)
 
-    # store reads/writes happen here in the parent; only the missing
-    # engine runs fan out (single-worker cells have nothing to measure)
-    distributed = [o for o in outcomes if o.cluster.is_distributed]
+    # the measurement depends only on (model, cluster, config), so every
+    # experiment sharing a deployment (e.g. fig9b's sync cells) shares one
+    # entry; single-worker cells have nothing to measure
     measured = iter(cached_measurements(
-        [(o.scenario, GROUNDTRUTH_KIND,
-          lambda o=o: groundtruth.run_distributed(
-              o.model, o.cluster, o.config,
-              sync_before_allreduce=True).iteration_us)
-         for o in distributed],
+        [(o.scenario, DDP_SYNC_KIND) for o in outcomes
+         if o.cluster.is_distributed],
         store=store, force=force,
         jobs=jobs if jobs is not None else (os.cpu_count() or 1)))
     for outcome in outcomes:

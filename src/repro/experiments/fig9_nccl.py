@@ -22,15 +22,12 @@ from repro.experiments.common import (
     experiment_store,
 )
 from repro.framework import groundtruth
+from repro.framework.groundtruth import DDP_NOSYNC_KIND, DDP_SYNC_KIND
 from repro.scenarios import Scenario
 from repro.tracing.records import EventCategory
 
 DEFAULT_CLUSTER = (4, 1)
 DEFAULT_BANDWIDTH_GBPS = 10.0
-
-#: store kinds for the two measured sides of each Section-6.5 cell
-SYNC_KIND = "groundtruth:ddp-sync"
-NOSYNC_KIND = "groundtruth:ddp-nosync"
 
 
 def run(model_name: str = "gnmt",
@@ -88,7 +85,7 @@ def run_sync_impact(
     ``store=`` the two engine measurements per cell persist in a
     :class:`~repro.scenarios.store.SweepStore` (``groundtruth:ddp-sync`` /
     ``-nosync`` kinds) and re-runs skip straight to the missing cells,
-    while ``jobs=`` fans the cells across fork workers — rows stay
+    while ``jobs=`` fans the cells across workers — rows stay
     bit-identical to a serial, uncached run.
     """
     result = ExperimentResult(
@@ -99,28 +96,17 @@ def run_sync_impact(
         notes="Paper: no configuration degrades; improvements reach ~22%.",
     )
     store = experiment_store(store)
-    base = Scenario(model=model_name)
-    model = base.build_model()
-    config = base.build_config()
-    cells = []
-    requests = []
-    for bw in bandwidths:
-        for machines, gpus in configs:
-            scenario = base.with_cluster(machines, gpus, bandwidth_gbps=bw)
-            cluster = scenario.build_cluster()
-            cells.append((bw, cluster))
-            for sync, kind in ((False, NOSYNC_KIND), (True, SYNC_KIND)):
-                requests.append((scenario, kind,
-                                 lambda c=cluster, s=sync:
-                                 groundtruth.run_distributed(
-                                     model, c, config,
-                                     sync_before_allreduce=s).iteration_us))
-
-    measured = cached_measurements(requests, store=store, force=force,
-                                   jobs=jobs)
-    for (bw, cluster), plain_us, synced_us in zip(cells, measured[0::2],
-                                                  measured[1::2]):
+    scenarios = [Scenario(model=model_name).with_cluster(
+                     machines, gpus, bandwidth_gbps=bw)
+                 for bw in bandwidths for machines, gpus in configs]
+    measured = cached_measurements(
+        [(s, kind) for s in scenarios
+         for kind in (DDP_NOSYNC_KIND, DDP_SYNC_KIND)],
+        store=store, force=force, jobs=jobs)
+    for scenario, plain_us, synced_us in zip(scenarios, measured[0::2],
+                                             measured[1::2]):
         improvement = (plain_us - synced_us) / plain_us * 100.0
-        result.add_row(cluster.label(), bw,
+        result.add_row(scenario.build_cluster().label(),
+                       scenario.cluster.bandwidth_gbps,
                        plain_us / 1000.0, synced_us / 1000.0, improvement)
     return result

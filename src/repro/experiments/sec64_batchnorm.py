@@ -10,15 +10,12 @@ CUDA memory copies/allocations.
 from repro.analysis.metrics import improvement_percent, prediction_error
 from repro.experiments.common import (
     ExperimentResult,
-    cached_measurement,
+    cached_measurements,
     experiment_store,
 )
-from repro.framework import groundtruth
 from repro.framework.config import TrainingConfig
+from repro.framework.groundtruth import RECONSTRUCT_BATCHNORM_KIND
 from repro.scenarios import Scenario, ScenarioRunner
-
-#: store kind for the measured (engine) restructured-batchnorm iteration
-GROUNDTRUTH_KIND = "groundtruth:reconstruct-batchnorm"
 
 #: Caffe's convolution path on DenseNet's many narrow layers achieves far
 #: lower arithmetic efficiency than tuned cuDNN kernels; this calibration
@@ -58,12 +55,11 @@ def run(model_name: str = "densenet121",
                "promising than claimed."),
     )
     store = experiment_store(store)
-    outcome = ScenarioRunner().run(caffe_scenario(model_name))
-    truth_us = cached_measurement(
-        outcome.scenario, GROUNDTRUTH_KIND,
-        lambda: groundtruth.run_reconstructed_batchnorm(
-            outcome.model, outcome.config).iteration_us,
-        store=store, force=force)
+    runner = ScenarioRunner()
+    outcome = runner.run(caffe_scenario(model_name))
+    (truth_us,) = cached_measurements(
+        [(outcome.scenario, RECONSTRUCT_BATCHNORM_KIND)],
+        store=store, force=force, runner=runner)
 
     gt_improvement = improvement_percent(outcome.baseline_us, truth_us)
     result.add_row("baseline_ms", outcome.baseline_us / 1000.0)

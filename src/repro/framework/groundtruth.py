@@ -19,15 +19,21 @@ Ground-truth specifics that Daydream's models do not see:
   allocations (Section 6.4's explanation for the 7% vs 12.7% gap);
 * **Distributed**: NCCL primitives pay contention/overhead on top of the
   bandwidth formula (Section 6.5 / Figure 9).
+
+:data:`MEASUREMENTS` names each measurement the experiments use by its
+store kind (``groundtruth:amp``, ...): the batch executor
+(:func:`repro.scenarios.batch.run_batch`) runs ``(scenario, kind)`` cells
+through it, so ground truth fans out and caches like any prediction.
 """
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.framework.config import TrainingConfig
 from repro.framework.engine import Engine
+from repro.framework.paramserver import run_ps_baseline, run_ps_p3
 from repro.hw.topology import ClusterSpec
 from repro.kernels.kernel import KernelKind, KernelSpec
 from repro.models.base import LayerSpec, ModelSpec
@@ -105,6 +111,42 @@ def run_distributed(
     engine = Engine(model=model, config=config, cluster=cluster,
                     sync_before_allreduce=sync_before_allreduce)
     return GroundTruthResult.from_trace(engine.run_iteration())
+
+
+# ------------------------------------------------------- measurement kinds
+
+#: store kinds of the engine measurements the experiments compare against
+AMP_KIND = "groundtruth:amp"
+FUSED_ADAM_KIND = "groundtruth:fused-adam"
+RECONSTRUCT_BATCHNORM_KIND = "groundtruth:reconstruct-batchnorm"
+DDP_SYNC_KIND = "groundtruth:ddp-sync"
+DDP_NOSYNC_KIND = "groundtruth:ddp-nosync"
+PS_BASELINE_KIND = "groundtruth:ps-baseline"
+PS_P3_KIND = "groundtruth:ps-p3"
+
+#: kind → ``(model, cluster, config, profile) -> iteration_us``;
+#: ``profile()`` returns the workload's profiled single-GPU trace, which
+#: the parameter-server measurements replay instead of re-running the
+#: (deterministic) engine
+MEASUREMENTS: Dict[str, Callable[..., float]] = {
+    AMP_KIND: lambda model, cluster, config, profile:
+        run_amp(model, config).iteration_us,
+    FUSED_ADAM_KIND: lambda model, cluster, config, profile:
+        run_fused_adam(model, config).iteration_us,
+    RECONSTRUCT_BATCHNORM_KIND: lambda model, cluster, config, profile:
+        run_reconstructed_batchnorm(model, config).iteration_us,
+    DDP_SYNC_KIND: lambda model, cluster, config, profile:
+        run_distributed(model, cluster, config,
+                        sync_before_allreduce=True).iteration_us,
+    DDP_NOSYNC_KIND: lambda model, cluster, config, profile:
+        run_distributed(model, cluster, config,
+                        sync_before_allreduce=False).iteration_us,
+    PS_BASELINE_KIND: lambda model, cluster, config, profile:
+        run_ps_baseline(model, cluster, config,
+                        trace=profile()).iteration_us,
+    PS_P3_KIND: lambda model, cluster, config, profile:
+        run_ps_p3(model, cluster, config, trace=profile()).iteration_us,
+}
 
 
 # ------------------------------------------------------------- model surgery

@@ -1,15 +1,20 @@
 """Multiprocess batch execution of scenario grids over a result store.
 
-:func:`run_batch` is the one grid fan-out substrate: every
+:func:`run_batch` is the one fan-out substrate: every
 :meth:`~repro.scenarios.runner.ScenarioRunner.run_grid` call (and so every
 ``repro run``/``repro sweep`` grid and every experiment grid) goes through
-it.  It fans out the *profiling* as well as the predictions, and
-remembers finished cells:
+it, and so does every experiment's engine ground truth — a cell is a
+``(scenario, kind)`` pair, where ``"predict"`` asks for Daydream's
+prediction and a ``groundtruth:*`` kind of
+:data:`repro.framework.groundtruth.MEASUREMENTS` for an engine
+measurement of the scenario's workload.  It fans out the *profiling* as
+well as the predictions, and remembers finished cells:
 
 * cells already in the :class:`~repro.scenarios.store.SweepStore` are
   skipped up front (resume is the default behaviour of handing in a store);
-* the remaining cells are partitioned **by workload** — scenarios sharing a
-  (model, batch size, training config) land in the same chunks, and each
+* the remaining cells are partitioned **by workload** — predictions sharing a
+  (model, batch size, training config) land in the same chunks (engine
+  measurements share no session and go one per chunk), and each
   worker process keeps one :class:`~repro.scenarios.runner.ScenarioRunner`
   alive across chunks, so a workload is profiled at most once per worker
   (and, once its graph runs hot, its compiled simulation baseline —
@@ -78,9 +83,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.common.errors import ConfigError
+from repro.framework.groundtruth import MEASUREMENTS
 from repro.models.base import ModelSpec
 from repro.models.registry import register_model, runtime_registered_models
 from repro.scenarios.backends import ComputeLease
@@ -106,8 +113,8 @@ DEDUPE_POLL_SECONDS = 0.05
 #: hammered at the local poll cadence
 REMOTE_PROBE_POLLS = 5
 
-#: one unit of worker work: (cell index, scenario dict)
-_Cell = Tuple[int, Dict[str, object]]
+#: one unit of worker work: (cell index, scenario dict, result kind)
+_Cell = Tuple[int, Dict[str, object], str]
 
 #: start methods run_batch accepts (``None`` = pick automatically)
 START_METHODS = ("fork", "spawn", "serial")
@@ -121,8 +128,9 @@ DEFAULT_MAX_CELL_RETRIES = 2
 KILL_PLAN_ENV = "REPRO_CHAOS_KILL_PLAN"
 
 #: fork-inherited state (set in the parent immediately before the pool
-#: forks, cleared after; never pickled)
-_FORK_REGISTRY: Optional[OptimizationRegistry] = None
+#: forks, cleared after; never pickled): the parent's runner, with the
+#: sessions it has already profiled, that each forked worker starts from
+_FORK_RUNNER = None
 
 #: spawn-delivered state (pickled into each worker by the pool initializer)
 _WORKER_MANIFEST: Optional["WorkerManifest"] = None
@@ -248,13 +256,14 @@ class WorkerManifest:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One computed (or cache-served) grid cell."""
+    """One computed (or cache-served) cell: its ``values`` are what the
+    store holds for ``kind`` (see :func:`_run_cell`)."""
 
     scenario: Scenario
     key: str
-    baseline_us: float
-    predicted_us: float
+    values: Dict[str, float]
     cached: bool
+    kind: str = "predict"
 
 
 @dataclass(frozen=True)
@@ -294,6 +303,19 @@ class BatchReport:
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def raise_for_failures(self) -> None:
+        """Raise one :class:`ConfigError` naming every failed cell.
+
+        Serial semantics for callers that need every row: a poisoned cell
+        raises there too.  Callers wanting partial results read
+        ``failures`` instead.
+        """
+        if self.failures:
+            detail = "; ".join(f"cell {f.index} ({f.label}): {f.error}"
+                               for f in self.failures)
+            raise ConfigError(f"{self.failed} grid cell(s) failed after "
+                              f"retries and quarantine: {detail}")
 
 
 def _kill_plan() -> Optional[Tuple[int, int, str]]:
@@ -344,10 +366,24 @@ def maybe_kill_worker(cell_index: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _run_cell(runner, data: Dict[str, object]) -> Tuple[float, float]:
-    """Run one cell from its dict form: ``(baseline_us, predicted_us)``."""
-    outcome = runner.run(Scenario.from_dict(data))
-    return outcome.baseline_us, outcome.predicted_us
+def _run_cell(runner, data: Dict[str, object],
+              kind: str) -> Dict[str, float]:
+    """Run one cell from its dict form; returns the store ``values``.
+
+    A ``predict`` cell is a what-if prediction: ``{"baseline_us",
+    "predicted_us"}``.  Any other kind is an engine measurement from
+    :data:`repro.framework.groundtruth.MEASUREMENTS`: ``{"iteration_us"}``
+    of the scenario's workload, replaying the runner's profiled trace
+    where the measurement needs one.
+    """
+    scenario = Scenario.from_dict(data)
+    if kind == "predict":
+        outcome = runner.run(scenario)
+        return {"baseline_us": outcome.baseline_us,
+                "predicted_us": outcome.predicted_us}
+    return {"iteration_us": float(MEASUREMENTS[kind](
+        runner.model(scenario), scenario.build_cluster(),
+        scenario.build_config(), lambda: runner.session(scenario).trace))}
 
 
 def _worker_init(manifest_bytes: bytes) -> None:
@@ -356,54 +392,58 @@ def _worker_init(manifest_bytes: bytes) -> None:
     _WORKER_MANIFEST = pickle.loads(manifest_bytes)
 
 
-def _worker_run_chunk(chunk: Sequence[_Cell]) -> List[Tuple[int, float, float]]:
+def _worker_run_chunk(
+        chunk: Sequence[_Cell]) -> List[Tuple[int, Dict[str, float]]]:
     """Pool entry point: runs a chunk on this worker's persistent runner.
 
-    The first chunk builds the runner — from the fork-inherited registry
-    under fork, or from the delivered :class:`WorkerManifest` under spawn —
-    and later chunks reuse it (and its profiled sessions).  Before each
-    cell the worker consults the env-gated chaos kill hook
+    The first chunk takes the runner — the parent's, fork-inherited, under
+    fork, or one built from the delivered :class:`WorkerManifest` under
+    spawn — and later chunks reuse it (and its profiled sessions).
+    Before each cell the worker consults the env-gated chaos kill hook
     (:func:`maybe_kill_worker`): only *workers* do, so a quarantined
     cell re-run in the parent always completes.
     """
     global _WORKER_RUNNER
     if _WORKER_RUNNER is None:
-        from repro.scenarios.runner import ScenarioRunner
-        if _FORK_REGISTRY is not None:
-            registry = _FORK_REGISTRY
+        if _FORK_RUNNER is not None:
+            _WORKER_RUNNER = _FORK_RUNNER
         elif _WORKER_MANIFEST is not None:
-            registry = _WORKER_MANIFEST.restore()
+            from repro.scenarios.runner import ScenarioRunner
+            _WORKER_RUNNER = ScenarioRunner(
+                registry=_WORKER_MANIFEST.restore())
         else:  # pragma: no cover - defensive
             raise ConfigError("batch worker started without a registry")
-        _WORKER_RUNNER = ScenarioRunner(registry=registry)
     out = []
-    for index, data in chunk:
+    for index, data, kind in chunk:
         maybe_kill_worker(index)
-        out.append((index, *_run_cell(_WORKER_RUNNER, data)))
+        out.append((index, _run_cell(_WORKER_RUNNER, data, kind)))
     return out
 
 
-def _partition(scenarios: Sequence[Scenario], pending: Sequence[int],
-               jobs: int) -> List[List[_Cell]]:
-    """Chunk pending cells, grouping cells of one workload together.
+def _partition(scenarios: Sequence[Scenario], kinds: Sequence[str],
+               pending: Sequence[int], jobs: int) -> List[List[_Cell]]:
+    """Chunk pending cells, grouping predictions of one workload together.
 
-    Scenarios sharing a (model, batch size, training config) profile the
+    Predictions sharing a (model, batch size, training config) profile the
     same session, so they stay adjacent; each workload group is split into
     at most ``jobs // n_groups`` chunks (always ≥ 1) so a single-workload
-    grid still occupies every worker.
+    grid still occupies every worker.  An engine measurement needs no
+    shared session (a worker's runner keeps the few it profiles across
+    chunks anyway), so each is its own chunk and the pool balances them.
     """
     groups: Dict[object, List[int]] = {}
     for index in pending:
         scenario = scenarios[index]
-        key = (scenario.model, scenario.batch_size,
-               scenario.build_config())
+        key = ((scenario.model, scenario.batch_size,
+                scenario.build_config())
+               if kinds[index] == "predict" else index)
         groups.setdefault(key, []).append(index)
     chunks: List[List[_Cell]] = []
     splits = max(1, jobs // max(1, len(groups)))
     for indices in groups.values():
         size = math.ceil(len(indices) / splits)
         for start in range(0, len(indices), size):
-            chunks.append([(i, scenarios[i].to_dict())
+            chunks.append([(i, scenarios[i].to_dict(), kinds[i])
                            for i in indices[start:start + size]])
     return chunks
 
@@ -451,7 +491,7 @@ def _resolve_start_method(start_method: Optional[str], workers: int,
 
 
 def run_batch(
-    scenarios: Sequence[Scenario],
+    scenarios: Sequence[Union[Scenario, Tuple[Scenario, str]]],
     registry: Optional[OptimizationRegistry] = None,
     store: Optional[SweepStore] = None,
     jobs: Optional[int] = None,
@@ -459,11 +499,17 @@ def run_batch(
     progress: Optional[Callable[[int, int, SweepCell], None]] = None,
     start_method: Optional[str] = None,
     max_cell_retries: int = DEFAULT_MAX_CELL_RETRIES,
+    runner=None,
 ) -> BatchReport:
     """Evaluate scenarios through the store + process-pool substrate.
 
     Args:
-        scenarios: the grid cells, already expanded.
+        scenarios: the cells, already expanded: a :class:`Scenario` is a
+            ``"predict"`` cell, and a ``(scenario, kind)`` pair names its
+            result kind — a ``groundtruth:*`` kind of
+            :data:`repro.framework.groundtruth.MEASUREMENTS` measures the
+            scenario's workload on the engine instead.  Each cell is keyed
+            on its scenario and kind.
         registry: optimization registry (also salts store keys).
         store: persistent result store; cells found there are served
             without simulation (including read-through from the store's
@@ -488,23 +534,37 @@ def run_batch(
             quarantined and re-run serially in the parent; a cell that
             fails even there is reported in ``BatchReport.failures``
             instead of aborting the sweep.
+        runner: the :class:`~repro.scenarios.runner.ScenarioRunner` that
+            cells computed in this process (serial, quarantined and
+            inherited-deferred ones) run on, and that fork workers
+            inherit, so sessions it already holds are not profiled again;
+            ``None`` uses a fresh one.  It must share ``registry``.
 
     Returns:
         A :class:`BatchReport` whose ``cells`` are in input order and
-        bit-identical to serial :meth:`ScenarioRunner.run` calls, and
-        whose done/retried/quarantined/failed counters account for every
-        input cell.
+        bit-identical to serial :meth:`ScenarioRunner.run` calls (or
+        engine measurements), and whose done/retried/quarantined/failed
+        counters account for every input cell.
     """
     registry = registry or DEFAULT_REGISTRY
     if store is not None and store.registry is not registry:
         # one fingerprint must govern both resolution and addressing
         raise ConfigError("sweep store and batch executor must share one "
                           "optimization registry")
+    if runner is None:
+        from repro.scenarios.runner import ScenarioRunner
+        runner = ScenarioRunner(registry=registry)
+    elif runner.registry is not registry:
+        raise ConfigError("batch runner and batch executor must share one "
+                          "optimization registry")
     if max_cell_retries < 0:
         raise ConfigError("max_cell_retries cannot be negative")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    scenarios = list(scenarios)
+    pairs = [(c, "predict") if isinstance(c, Scenario) else c
+             for c in scenarios]
+    scenarios = [scenario for scenario, _kind in pairs]
+    kinds = [kind for _scenario, kind in pairs]
     total = len(scenarios)
     cells: List[Optional[SweepCell]] = [None] * total
     report = BatchReport(cells=[], workers=1)
@@ -517,21 +577,21 @@ def run_batch(
         if progress is not None:
             progress(done, total, cell)
 
-    keys = [scenario_key(scenario, registry) for scenario in scenarios]
+    keys = [scenario_key(scenario, registry, kind=kind)
+            for scenario, kind in pairs]
 
     def serve(index: int, values: Dict[str, object]) -> None:
         """Finish one cell from a trusted store entry."""
         report.hits += 1
         finish(index, SweepCell(scenario=scenarios[index], key=keys[index],
-                                cached=True,
-                                baseline_us=values["baseline_us"],
-                                predicted_us=values["predicted_us"]))
+                                values=values, cached=True,
+                                kind=kinds[index]))
 
     pending: List[int] = []
-    for index, scenario in enumerate(scenarios):
-        values = store.get(scenario) if store is not None and not force \
-            else None
-        if timings_ok(values):
+    for index, (scenario, kind) in enumerate(pairs):
+        values = store.get(scenario, kind) \
+            if store is not None and not force else None
+        if timings_ok(values, kind):
             serve(index, values)
         else:
             pending.append(index)
@@ -559,8 +619,8 @@ def run_batch(
                     # being granted (publish precedes claim release, so
                     # a granted claim with an entry present means the
                     # previous winner already finished)
-                    values = store.get(scenarios[index])
-                    if timings_ok(values):
+                    values = store.get(scenarios[index], kinds[index])
+                    if timings_ok(values, kinds[index]):
                         lease.release()
                         serve(index, values)
                         continue
@@ -595,16 +655,14 @@ def run_batch(
         with owned_lock:
             return owned.pop(keys[index], None)
 
-    def record(index: int, baseline_us: float, predicted_us: float) -> None:
+    def record(index: int, values: Dict[str, float]) -> None:
         scenario = scenarios[index]
         lease = pop_claim(index)
         try:
             if store is not None:
                 # the write rides the compute lease we already hold for
                 # this key (if any) instead of waiting on its own lock
-                store.put(scenario, {"baseline_us": baseline_us,
-                                     "predicted_us": predicted_us},
-                          lease=lease)
+                store.put(scenario, values, kinds[index], lease=lease)
                 if lease is not None and lease.remote_owned:
                     # the cross-host handshake: publish to the hub
                     # *before* releasing the claim, so peers deferring
@@ -615,8 +673,8 @@ def run_batch(
                 lease.release()  # persisted: waiting sweeps read it now
         report.computed += 1
         finish(index, SweepCell(scenario=scenario, key=keys[index],
-                                cached=False, baseline_us=baseline_us,
-                                predicted_us=predicted_us))
+                                values=values, cached=False,
+                                kind=kinds[index]))
 
     def fail(index: int, error: BaseException) -> None:
         """Record one unproducible cell, releasing its lease promptly.
@@ -630,31 +688,28 @@ def run_batch(
         if lease is not None:
             lease.release()
         report.failed += 1
-        report.failures.append(CellFailure(
-            index=index, label=scenarios[index].label(), error=str(error)))
+        label = scenarios[index].label()
+        if kinds[index] != "predict":
+            label += f" [{kinds[index]}]"
+        report.failures.append(CellFailure(index=index, label=label,
+                                           error=str(error)))
 
-    parent_runner = None
-
-    def run_in_parent(index: int) -> Tuple[float, float]:
+    def run_in_parent(index: int) -> Dict[str, float]:
         """Compute one cell here, on the parent's one shared runner.
 
         The serial, quarantine and inherited-deferred paths all land
         here, so a workload is profiled at most once in the parent.
         """
-        nonlocal parent_runner
-        if parent_runner is None:
-            from repro.scenarios.runner import ScenarioRunner
-            parent_runner = ScenarioRunner(registry=registry)
-        return _run_cell(parent_runner, scenarios[index].to_dict())
+        return _run_cell(runner, scenarios[index].to_dict(), kinds[index])
 
     def compute_or_fail(index: int) -> None:
         """Run one cell in the parent; a raising cell is reported failed."""
         try:
-            baseline_us, predicted_us = run_in_parent(index)
+            values = run_in_parent(index)
         except Exception as exc:
             fail(index, exc)
         else:
-            record(index, baseline_us, predicted_us)
+            record(index, values)
 
     def run_pool_with_recovery(method: str, workers: int,
                                manifest: WorkerManifest) -> None:
@@ -690,9 +745,10 @@ def run_batch(
             if not remaining:
                 break
             if first_round:
-                chunks = _partition(scenarios, remaining, jobs)
+                chunks = _partition(scenarios, kinds, remaining, jobs)
             else:
-                chunks = [[(i, scenarios[i].to_dict())] for i in remaining]
+                chunks = [[(i, scenarios[i].to_dict(), kinds[i])]
+                          for i in remaining]
             done_round: Set[int] = set()
             try:
                 with ProcessPoolExecutor(max_workers=workers,
@@ -712,12 +768,12 @@ def run_batch(
                             # reproduce — or get quarantined and their
                             # true error reported from the parent re-run)
                             chunk = future_chunks[future]
-                            for index, _data in chunk:
+                            for index, _data, _kind in chunk:
                                 attempts[index] = attempts.get(index, 0) + 1
                             report.retried += len(chunk)
                             continue
-                        for index, baseline_us, predicted_us in results:
-                            record(index, baseline_us, predicted_us)
+                        for index, values in results:
+                            record(index, values)
                             done_round.add(index)
             except BrokenProcessPool:
                 unfinished = [i for i in remaining if i not in done_round]
@@ -747,12 +803,12 @@ def run_batch(
         it fresh while it computes, and :func:`record` publishes and
         releases it like any other.
         """
-        scenario, key = scenarios[index], keys[index]
+        scenario, kind, key = scenarios[index], kinds[index], keys[index]
         polls = 0
         while True:
-            if store.contains(scenario):
-                values = store.get(scenario)
-                if timings_ok(values):
+            if store.contains(scenario, kind):
+                values = store.get(scenario, kind)
+                if timings_ok(values, kind):
                     serve(index, values)
                     return
             polls += 1
@@ -760,8 +816,8 @@ def run_batch(
                 if polls % REMOTE_PROBE_POLLS:
                     time.sleep(DEDUPE_POLL_SECONDS)
                     continue  # local probes stay cheap between hub trips
-                values = store.get(scenario)  # the winner may be elsewhere
-                if timings_ok(values):
+                values = store.get(scenario, kind)  # winner may be elsewhere
+                if timings_ok(values, kind):
                     serve(index, values)
                     return
             lease = store.compute_lease(key)
@@ -769,19 +825,19 @@ def run_batch(
                 with owned_lock:
                     owned[key] = lease
                 # one full read-through; the write-back rides our lease
-                values = store.get(scenario, lease=lease)
-                if timings_ok(values):
+                values = store.get(scenario, kind, lease=lease)
+                if timings_ok(values, kind):
                     pop_claim(index).release()
                     serve(index, values)
                 else:
-                    record(index, *run_in_parent(index))
+                    record(index, run_in_parent(index))
                 return
             time.sleep(DEDUPE_POLL_SECONDS)
 
     try:
         if pending:
             jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-            chunks = _partition(scenarios, pending, jobs)
+            chunks = _partition(scenarios, kinds, pending, jobs)
             workers = min(jobs, len(chunks))
             report.workers = workers
 
@@ -793,18 +849,18 @@ def run_batch(
             method = _resolve_start_method(start_method, workers, manifest)
             report.start_method = method
             if method != "serial":
-                global _FORK_REGISTRY
-                _FORK_REGISTRY = registry if method == "fork" else None
+                global _FORK_RUNNER
+                _FORK_RUNNER = runner if method == "fork" else None
                 try:
                     run_pool_with_recovery(method, workers, manifest)
                 finally:
-                    _FORK_REGISTRY = None
+                    _FORK_RUNNER = None
             else:
                 report.workers = 1
                 # per-cell fault tolerance matches the pool path: a
                 # poisoned cell is reported, the rest still get rows
                 for chunk in chunks:
-                    for index, _data in chunk:
+                    for index, _data, _kind in chunk:
                         compute_or_fail(index)
 
         for index in deferred:

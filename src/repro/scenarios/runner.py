@@ -31,6 +31,7 @@ from repro.framework.config import TrainingConfig
 from repro.hw.topology import ClusterSpec
 from repro.models.base import ModelSpec
 from repro.models.registry import runtime_registered_models
+from repro.scenarios.batch import DEFAULT_MAX_CELL_RETRIES, run_batch
 from repro.scenarios.pipeline import OptimizationPipeline
 from repro.scenarios.registry import DEFAULT_REGISTRY, OptimizationRegistry
 from repro.scenarios.scenario import Scenario, ScenarioGrid
@@ -97,6 +98,7 @@ class ScenarioRunner:
         self._sessions: Dict[object, Tuple[Tuple[WhatIfSession, ModelSpec,
                                                  TrainingConfig],
                                            object]] = {}
+        self._models: Dict[object, Tuple[ModelSpec, object]] = {}
 
     # -------------------------------------------------------------- sessions
 
@@ -116,6 +118,17 @@ class ScenarioRunner:
         """
         return runtime_registered_models().get(scenario.model.lower())
 
+    def model(self, scenario: Scenario) -> ModelSpec:
+        """The model spec of a scenario's workload (cached, and shared
+        with its session; rebuilt when the builder is re-registered)."""
+        key = (scenario.model, scenario.batch_size)
+        token = self._builder_token(scenario)
+        cached = self._models.get(key)
+        if cached is None or cached[1] is not token:
+            cached = (scenario.build_model(), token)
+            self._models[key] = cached
+        return cached[0]
+
     def session(self, scenario: Scenario) -> WhatIfSession:
         """The profiled session for a scenario's workload (cached)."""
         return self._session_entry(scenario)[0]
@@ -131,7 +144,7 @@ class ScenarioRunner:
             del self._sessions[key]
             cached = None
         if cached is None:
-            model = scenario.build_model()
+            model = self.model(scenario)
             session = WhatIfSession.from_model(model, config=config)
             cached = ((session, model, config), token)
             self._sessions[key] = cached
@@ -212,7 +225,7 @@ class ScenarioRunner:
                  store=None, force: bool = False,
                  progress=None,
                  start_method: Optional[str] = None,
-                 max_cell_retries: Optional[int] = None
+                 max_cell_retries: int = DEFAULT_MAX_CELL_RETRIES
                  ) -> List[ScenarioOutcome]:
         """Execute many scenarios, fanning work across CPU cores.
 
@@ -248,25 +261,18 @@ class ScenarioRunner:
         session, no prediction), bit-identical across start methods,
         store tiers and serial :meth:`run` calls.
         """
-        from repro.scenarios.batch import run_batch
         scenarios = list(scenarios)
         for scenario in scenarios:
             self._validate(scenario)
-        kwargs = {}
-        if max_cell_retries is not None:
-            kwargs["max_cell_retries"] = max_cell_retries
         report = run_batch(scenarios, registry=self.registry, store=store,
                            jobs=parallel, force=force, progress=progress,
-                           start_method=start_method, **kwargs)
-        if report.failures:
-            detail = "; ".join(
-                f"cell {f.index} ({f.label}): {f.error}"
-                for f in report.failures)
-            raise ConfigError(
-                f"{report.failed} grid cell(s) failed after retries "
-                f"and quarantine: {detail}")
-        return [self.detached_outcome(cell.scenario, cell.baseline_us,
-                                      cell.predicted_us, cached=cell.cached)
+                           start_method=start_method,
+                           max_cell_retries=max_cell_retries)
+        report.raise_for_failures()
+        return [self.detached_outcome(cell.scenario,
+                                      cell.values["baseline_us"],
+                                      cell.values["predicted_us"],
+                                      cached=cell.cached)
                 for cell in report.cells]
 
     def run_file(self, path: str,
@@ -274,7 +280,7 @@ class ScenarioRunner:
                  store=None, force: bool = False,
                  progress=None,
                  start_method: Optional[str] = None,
-                 max_cell_retries: Optional[int] = None
+                 max_cell_retries: int = DEFAULT_MAX_CELL_RETRIES
                  ) -> List[ScenarioOutcome]:
         """Execute a scenario JSON file (single scenario or grid).
 

@@ -50,6 +50,7 @@ backend and lease contracts in ``docs/store-backends.md``.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -143,16 +144,23 @@ def scenario_key(scenario: Scenario,
                            digest_size=16).hexdigest()
 
 
-def timings_ok(values: object) -> bool:
-    """Whether a stored ``predict`` entry carries both timings as floats.
+def timings_ok(values: object, kind: str = "predict") -> bool:
+    """Whether a stored entry of ``kind`` carries its timings as finite
+    floats.
 
-    The one trust check on a memoized prediction: the batch executor and
-    the prediction service both apply it before serving a store hit, so
-    a hand-written entry of the wrong shape is recomputed, not served.
+    The one trust check on a memoized result: the batch executor (for
+    predictions and ground-truth measurements alike) and the prediction
+    service apply it before serving a store hit, so an entry of the wrong
+    shape — or holding ``NaN``/``Infinity``, which JSON round-trips — is
+    recomputed, not served.  A ``predict`` entry carries ``baseline_us``
+    and ``predicted_us``; every ``groundtruth:*`` kind one
+    ``iteration_us``.
     """
-    return (isinstance(values, dict)
-            and isinstance(values.get("baseline_us"), float)
-            and isinstance(values.get("predicted_us"), float))
+    names = (("baseline_us", "predicted_us") if kind == "predict"
+             else ("iteration_us",))
+    return isinstance(values, dict) and all(
+        isinstance(values.get(name), float) and math.isfinite(values[name])
+        for name in names)
 
 
 def _entry_checksum(payload: Dict[str, object]) -> str:
@@ -314,18 +322,6 @@ class SweepStore:
     def local(self) -> LocalBackend:
         """The local (cache-of-record) backend tier."""
         return self._local
-
-    def path_for(self, key: str) -> str:
-        """The entry file backing one content key."""
-        return self._local.path_for(key)
-
-    def served_path_for(self, key: str) -> str:
-        """The ``last_served`` sidecar of one content key.
-
-        A zero-byte file whose mtime is the LRU clock: touched on every
-        :meth:`get` hit and every :meth:`put`, never read for content.
-        """
-        return self._local.served_path_for(key)
 
     def key(self, scenario: Scenario, kind: str = "predict") -> str:
         """Content address of one (scenario, kind) under this registry."""
@@ -593,15 +589,6 @@ class SweepStore:
         """Bytes on disk under ``objects/`` (entries, sidecars, temp
         files; lease files are coordination state and never counted)."""
         return self._local.total_bytes()
-
-    def _entry_bytes(self, key: str) -> int:
-        """On-disk size of one entry plus its sidecar."""
-        return self._local.entry_bytes(key)
-
-    def last_served(self, key: str) -> Optional[float]:
-        """When the entry was last served (sidecar mtime, else entry
-        mtime, else ``None`` for a missing entry)."""
-        return self._local.last_served(key)
 
     def _classify(self, key: str, keep_salt: Optional[str] = None) -> str:
         """Lifecycle class of one on-disk entry.

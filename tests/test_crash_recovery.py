@@ -96,8 +96,9 @@ def serial_rows(scenarios):
 
 def rows_from(report):
     runner = ScenarioRunner()
-    return [runner.detached_outcome(c.scenario, c.baseline_us,
-                                    c.predicted_us, cached=c.cached).as_row()
+    return [runner.detached_outcome(c.scenario, c.values["baseline_us"],
+                                    c.values["predicted_us"],
+                                    cached=c.cached).as_row()
             for c in report.cells]
 
 

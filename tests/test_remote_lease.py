@@ -198,7 +198,7 @@ def _sweep_host(root, hub_url, scenario_dicts, out):
         "computed": report.computed,
         "hits": report.hits,
         "failed": report.failed,
-        "rows": [(c.key, c.baseline_us, c.predicted_us)
+        "rows": [(c.key, c.values["baseline_us"], c.values["predicted_us"])
                  for c in report.cells],
     })
 

@@ -171,7 +171,7 @@ def test_tampered_remote_values_fail_the_checksum(scenarios, tmp_path):
     scenario = scenarios[0]
     key = publisher.put(scenario, {"baseline_us": 1.0, "predicted_us": 1.0})
     # flip a value after the checksum was computed
-    path = publisher.path_for(key)
+    path = publisher.local.path_for(key)
     with open(path) as f:
         payload = json.load(f)
     payload["values"]["predicted_us"] = 0.5
@@ -207,7 +207,7 @@ def test_mid_body_truncation_is_a_miss_not_a_crash(scenarios, serial_rows,
     scenario = scenarios[0]
     probe = SweepStore(str(tmp_path / "probe"))
     key = probe.put(scenario, {"baseline_us": 1.0, "predicted_us": 1.0})
-    with open(probe.path_for(key), "rb") as f:
+    with open(probe.local.path_for(key), "rb") as f:
         _TruncatingHandler.payload = f.read()
 
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _TruncatingHandler)

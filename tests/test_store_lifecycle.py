@@ -51,7 +51,7 @@ def fill(store, n, start=1):
         keys.append(store.put(scenario(i), VALUES))
     for age, key in enumerate(keys):
         stamp = 1_000_000 + age  # strictly increasing, far in the past
-        os.utime(store.served_path_for(key), (stamp, stamp))
+        os.utime(store.local.served_path_for(key), (stamp, stamp))
     return keys
 
 
@@ -69,19 +69,19 @@ def test_total_bytes_counts_entries_and_sidecars(tmp_path):
     store = SweepStore(str(tmp_path))
     assert store.total_bytes() == 0
     key = store.put(scenario(1), VALUES)
-    expected = os.path.getsize(store.path_for(key)) \
-        + os.path.getsize(store.served_path_for(key))
+    expected = os.path.getsize(store.local.path_for(key)) \
+        + os.path.getsize(store.local.served_path_for(key))
     assert store.total_bytes() == expected
 
 
 def test_get_touches_the_last_served_sidecar(tmp_path):
     store = SweepStore(str(tmp_path))
     key = store.put(scenario(1), VALUES)
-    sidecar = store.served_path_for(key)
+    sidecar = store.local.served_path_for(key)
     os.utime(sidecar, (1_000_000, 1_000_000))
-    before = store.last_served(key)
+    before = store.local.last_served(key)
     assert store.get(scenario(1)) == VALUES
-    assert store.last_served(key) > before
+    assert store.local.last_served(key) > before
 
 
 # -------------------------------------------------------------------------- gc
@@ -91,7 +91,7 @@ def test_gc_evicts_least_recently_served_first(tmp_path):
     keys = fill(store, 4)
     # serve the oldest entry so it becomes the newest
     assert store.get(scenario(1)) == VALUES
-    entry_size = store._entry_bytes(keys[0])
+    entry_size = store.local.entry_bytes(keys[0])
     report = store.gc(max_bytes=2 * entry_size)
     assert report.evicted == 2
     # keys[1] and keys[2] were the least recently served
@@ -105,7 +105,7 @@ def test_gc_evicts_least_recently_served_first(tmp_path):
 def test_gc_without_budget_only_removes_dead_entries(tmp_path):
     store = SweepStore(str(tmp_path))
     keys = fill(store, 3)
-    with open(store.path_for(keys[0]), "w") as f:
+    with open(store.local.path_for(keys[0]), "w") as f:
         f.write("not json")
     report = store.gc()
     assert report.corrupt_removed == 1 and report.evicted == 0
@@ -137,7 +137,7 @@ def test_gc_bounds_an_over_cap_store(tmp_path):
 def test_gc_removes_abandoned_tmp_files_but_spares_young_ones(tmp_path):
     store = SweepStore(str(tmp_path))
     key = store.put(scenario(1), VALUES)
-    shard = os.path.dirname(store.path_for(key))
+    shard = os.path.dirname(store.local.path_for(key))
     old_tmp = os.path.join(shard, ".deadbeef-crashed.tmp")
     young_tmp = os.path.join(shard, ".cafecafe-racing.tmp")
     for path in (old_tmp, young_tmp):
@@ -179,7 +179,7 @@ def test_prune_drops_format_mismatched_entries(tmp_path):
     # internally consistent yet unservable; prune must not keep it
     store = SweepStore(str(tmp_path))
     key = store.put(scenario(1), VALUES)
-    path = store.path_for(key)
+    path = store.local.path_for(key)
     with open(path) as f:
         payload = json.load(f)
     payload["format"] = 999
@@ -193,7 +193,7 @@ def test_prune_drops_format_mismatched_entries(tmp_path):
 def test_prune_drops_corrupt_entries_of_unknown_generation(tmp_path):
     store = SweepStore(str(tmp_path))
     keys = fill(store, 2)
-    with open(store.path_for(keys[0]), "wb") as f:
+    with open(store.local.path_for(keys[0]), "wb") as f:
         f.write(b"\x00garbage")
     report = store.prune()
     assert report.corrupt_removed == 1 and report.stale_removed == 0
@@ -208,7 +208,7 @@ def test_verify_classifies_live_stale_and_corrupt(tmp_path):
     store = SweepStore(str(tmp_path))
     live_key = store.put(scenario(1), VALUES)
     corrupt_key = store.put(scenario(2), VALUES)
-    with open(store.path_for(corrupt_key), "w") as f:
+    with open(store.local.path_for(corrupt_key), "w") as f:
         f.write("} not json {")
     report = store.verify()
     assert report.live == [live_key] or set(report.live) == {live_key}
@@ -223,7 +223,7 @@ def test_verify_classifies_live_stale_and_corrupt(tmp_path):
 
 def test_put_auto_gcs_past_the_cap(tmp_path):
     probe = SweepStore(str(tmp_path / "probe"))
-    entry_size = probe._entry_bytes(probe.put(scenario(1), VALUES))
+    entry_size = probe.local.entry_bytes(probe.put(scenario(1), VALUES))
 
     store = SweepStore(str(tmp_path / "capped"),
                        max_bytes=3 * entry_size + entry_size // 2)
@@ -287,11 +287,11 @@ def test_gc_spares_entries_with_a_fresh_lease(tmp_path):
     lease = store.lease(keys[0])
     assert lease.try_acquire()
     try:
-        report = store.gc(max_bytes=store._entry_bytes(keys[1]))
+        report = store.gc(max_bytes=store.local.entry_bytes(keys[1]))
         survivors = set(store.keys())
         assert keys[0] in survivors
         assert report.evicted == 2
-        assert report.bytes_after <= store._entry_bytes(keys[0])
+        assert report.bytes_after <= store.local.entry_bytes(keys[0])
     finally:
         lease.release()
 
@@ -303,7 +303,7 @@ def test_gc_budget_holds_under_a_racing_writer_thread(tmp_path):
     not."""
     store = SweepStore(str(tmp_path))
     keys = fill(store, 6)
-    entry_size = store._entry_bytes(keys[0])
+    entry_size = store.local.entry_bytes(keys[0])
     budget = 3 * entry_size + entry_size // 2
 
     def write_24_entries():
@@ -355,7 +355,7 @@ def test_gc_budget_is_exact_across_processes(tmp_path):
     root = str(tmp_path / "store")
     store = SweepStore(root)
     keys = fill(store, 4)
-    entry_size = store._entry_bytes(keys[0])
+    entry_size = store.local.entry_bytes(keys[0])
     budget = 3 * entry_size + entry_size // 2
 
     ctx = multiprocessing.get_context("fork")
@@ -421,8 +421,8 @@ def test_deferred_cell_is_served_from_the_winning_sweep(tmp_path,
     assert report.hits == 1 and report.computed == 0
     (served,) = report.cells
     assert served.cached
-    assert served.baseline_us == reference.baseline_us
-    assert served.predicted_us == reference.predicted_us
+    assert served.values["baseline_us"] == reference.baseline_us
+    assert served.values["predicted_us"] == reference.predicted_us
 
 
 def test_stale_compute_lease_is_inherited_not_waited_on(tmp_path,
@@ -641,7 +641,7 @@ def test_cli_verify_exits_nonzero_on_corruption(tmp_path, capsys):
     root = str(tmp_path / "store")
     store = SweepStore(root)
     key = store.put(scenario(1), VALUES)
-    with open(store.path_for(key), "w") as f:
+    with open(store.local.path_for(key), "w") as f:
         f.write("junk")
     assert run_cli("store", "verify", root) == 1
     out = capsys.readouterr()

@@ -251,8 +251,8 @@ def test_chaos_rows_identical_under_injected_faults(pinned_scenarios,
     report = run_batch(pinned_scenarios, store=consumer, jobs=2)
 
     runner = ScenarioRunner()
-    chaos_rows = [runner.detached_outcome(c.scenario, c.baseline_us,
-                                          c.predicted_us,
+    chaos_rows = [runner.detached_outcome(c.scenario, c.values["baseline_us"],
+                                          c.values["predicted_us"],
                                           cached=c.cached).as_row()
                   for c in report.cells]
     assert chaos_rows == rows_of(serial)

@@ -123,7 +123,7 @@ def test_numeric_spelling_and_explicit_defaults_hit(store):
 # --------------------------------------------------------- corruption safety
 
 def _entry_path(store, scenario):
-    return store.path_for(store.key(scenario))
+    return store.local.path_for(store.key(scenario))
 
 
 def test_truncated_entry_is_rejected_and_deleted(store):
@@ -203,7 +203,7 @@ def test_corrupted_cell_is_resimulated_not_trusted(tmp_path):
     first = ScenarioRunner().run_grid(scenarios, parallel=1, store=store)
 
     # corrupt exactly one of the two entries
-    victim = store.path_for(store.key(scenarios[0]))
+    victim = store.local.path_for(store.key(scenarios[0]))
     with open(victim, "w") as f:
         f.write('{"format": 1, "values": {"baseline_us": 1.0, '
                 '"predicted_us": 1.0}')  # truncated: no closing brace
