@@ -307,14 +307,15 @@ def test_perf_simulate_many(bert_session):
 
 
 def _engine_run(compiled, policy=None):
-    """The engine alone on a lowering: no policy keys, no result dicts."""
+    """The engine alone on a lowering: no policy keys, no result views."""
     from repro.core.compiled import _run_arrays
 
     pkeys = compiled.policy_keys(policy)
     return lambda: _run_arrays(
         len(compiled.tasks), compiled._duration_l, compiled._gap_l,
         compiled._thread_idx_l, compiled._tnext_l, compiled._indegree_l,
-        compiled._succ_rows, len(compiled.threads), pkeys, compiled.ordered)
+        compiled._succ_indptr_l, compiled._succ_indices_l,
+        len(compiled.threads), pkeys, compiled.ordered)
 
 
 def test_perf_p3_query(bert_session):
@@ -335,7 +336,7 @@ def test_perf_p3_query(bert_session):
     with graph.overlay() as working:
         outcome = p3.apply(working, bert_session.context(cluster))
         lowered = CompiledGraph.build(working)
-        _, makespan, _ = _record(
+        _, makespan = _record(
             "p3_engine", _engine_run(lowered, outcome.scheduler), rounds=15)
     prediction = _record("p3_warm_query",
                          lambda: bert_session.predict(p3, cluster=cluster),

@@ -14,17 +14,22 @@ arrays and runs Algorithm 1 over integers — the one engine behind every
   allocation-independent (the historical fig10 "last-ulp tie" drift came
   from ``id()``-ordered successor-set iteration);
 * **struct-of-arrays** — per-ordinal ``duration`` / ``gap`` /
-  ``thread_idx`` float/int columns plus CSR successor/predecessor index
-  arrays.  Lowering builds plain lists, which the hot loop runs over
-  (CPython indexes lists faster than it unboxes numpy scalars); the array
-  views — numpy when available and stdlib ``array.array`` otherwise, so
-  the dependency stays soft — are derived from them on first access;
+  ``thread_idx`` float/int columns plus a flat CSR successor table (one
+  ``indptr`` and one ``indices`` list, no list per task), from which the
+  predecessor CSR is derived.  Lowering builds plain lists, which the hot
+  loop runs over (CPython indexes lists faster than it unboxes numpy
+  scalars); the array views — numpy when available and stdlib
+  ``array.array`` otherwise, so the dependency stays soft — are derived
+  from them on first access;
 * **the array engine** — a worklist when every thread is ordered, and
   otherwise exact per-thread dispatch: one global heap with at most one
   live ``(feasible_start, policy_key, ordinal)`` candidate per thread,
   each thread's own argmin (see :func:`_run_arrays` for the invariant and
-  why it is exact), O((N + E) log N).  No Task object is touched between
-  the first dispatch and the final result assembly;
+  why it is exact), O((N + E) log N).  No Task object is touched and no
+  per-task container allocated: the run yields a starts column and the
+  makespan, and the ``SimulationResult`` reads them through lazy views
+  (``start_us``, ``thread_busy``), so a warm query leaves the garbage
+  collector almost nothing to count;
 * **batched multi-simulate** — :func:`simulate_many` amortizes the
   lowering across every cell of a what-if grid that shares a baseline:
   each :class:`CellDelta` patches sparse per-task duration/gap overrides
@@ -95,18 +100,11 @@ def _int_array(values: Sequence[int]):
 
 _INF = float("inf")
 
-#: shared empty successor row (never mutated by the engine)
-_EMPTY_ROW: List[int] = []
-
-
 def _succ_row(succs, ordinal: Dict[Task, int]) -> List[int]:
     """One CSR row: the ordinals of a task's explicit successors, sorted."""
-    # adjacency rows are overwhelmingly empty or single-element;
-    # specializing those sizes skips most of the sort calls
-    m = len(succs)
-    if m == 0:
-        return _EMPTY_ROW
-    if m == 1:
+    # non-empty adjacency rows are overwhelmingly single-element;
+    # specializing that size skips most of the sort calls
+    if len(succs) == 1:
         (s,) = succs
         return [ordinal[s]]
     return sorted([ordinal[s] for s in succs])
@@ -132,8 +130,9 @@ class CompiledGraph:
             unordered or the task is last on its thread).
         indegree: explicit predecessors + 1 for a gated thread
             predecessor — the simulator's initial reference counts.
-        succ_indptr / succ_indices: CSR explicit-successor lists, each
-            row sorted by ordinal.
+        succ_indptr / succ_indices: the CSR explicit-successor table
+            (``indices[indptr[i]:indptr[i + 1]]`` are task ``i``'s
+            successors, sorted by ordinal).
         pred_indptr / pred_indices: CSR explicit-predecessor lists.
     """
 
@@ -146,7 +145,8 @@ class CompiledGraph:
     _thread_idx_l: List[int] = field(repr=False)
     _tnext_l: List[int] = field(repr=False)
     _indegree_l: List[int] = field(repr=False)
-    _succ_rows: List[List[int]] = field(repr=False)
+    _succ_indptr_l: List[int] = field(repr=False)
+    _succ_indices_l: List[int] = field(repr=False)
     generation: int = 0
 
     def __len__(self) -> int:
@@ -203,10 +203,18 @@ class CompiledGraph:
                 i += 1
                 task = nxt_link[task]
                 tnext.append(i if is_ordered and task is not None else -1)
+        # the successor CSR, once every ordinal is known
         succ = graph._succ
-        succ_rows = [_succ_row(succ[task], ordinal) for task in tasks]
+        indptr = [0]
+        indices: List[int] = []
+        mark = indptr.append
+        for task in tasks:
+            succs = succ[task]
+            if succs:
+                indices += _succ_row(succs, ordinal)
+            mark(len(indices))
         return cls(tasks, ordinal, threads, ordered, duration, gap,
-                   thread_idx, tnext, indegree, succ_rows,
+                   thread_idx, tnext, indegree, indptr, indices,
                    getattr(graph, "_generation", 0))
 
     # ------------------------------------------------------- derived columns
@@ -218,17 +226,11 @@ class CompiledGraph:
     tnext = cached_property(lambda self: _int_array(self._tnext_l))
     indegree = cached_property(lambda self: _int_array(self._indegree_l))
 
-    succ_indptr = property(lambda self: self._succ_csr[0])
-    succ_indices = property(lambda self: self._succ_csr[1])
+    succ_indptr = cached_property(lambda self: _int_array(self._succ_indptr_l))
+    succ_indices = cached_property(
+        lambda self: _int_array(self._succ_indices_l))
     pred_indptr = property(lambda self: self._pred_csr[0])
     pred_indices = property(lambda self: self._pred_csr[1])
-
-    @cached_property
-    def _succ_csr(self) -> Tuple[object, object]:
-        rows = self._succ_rows
-        indptr = [0]
-        indptr += accumulate(map(len, rows))
-        return _int_array(indptr), _int_array(list(chain.from_iterable(rows)))
 
     @cached_property
     def _pred_csr(self) -> Tuple[object, object]:
@@ -238,16 +240,17 @@ class CompiledGraph:
         visits sources in ordinal order.
         """
         n = len(self.tasks)
+        sp = self._succ_indptr_l
+        si = self._succ_indices_l
         counts = [0] * (n + 1)
-        for row in self._succ_rows:
-            for c in row:
-                counts[c + 1] += 1
-        for i in range(1, n + 1):
-            counts[i] += counts[i - 1]
+        for c in si:
+            counts[c + 1] += 1
+        counts = list(accumulate(counts))
         indices = [0] * counts[n]
         cursor = counts[:]
-        for i, row in enumerate(self._succ_rows):
-            for c in row:
+        for i in range(n):
+            for k in range(sp[i], sp[i + 1]):
+                c = si[k]
                 indices[cursor[c]] = i
                 cursor[c] += 1
         return _int_array(counts), _int_array(indices)
@@ -303,41 +306,49 @@ class CompiledGraph:
         engine under a cell's sparse delta without re-lowering.  A
         ``policy`` that is not a ``SchedulePolicy`` raises ``TypeError``.
         """
-        from repro.core.simulate import SimulationResult
+        from repro.core.simulate import (
+            SimulationResult,
+            _StartTimes,
+            _ThreadBusy,
+        )
         pkeys = self.policy_keys(policy)
-        starts, makespan, busy_lists = _run_arrays(
-            len(self.tasks),
-            duration if duration is not None else self._duration_l,
+        duration = duration if duration is not None else self._duration_l
+        starts, makespan = _run_arrays(
+            len(self.tasks), duration,
             gap if gap is not None else self._gap_l,
             self._thread_idx_l, self._tnext_l, self._indegree_l,
-            self._succ_rows, len(self.threads), pkeys, self.ordered,
+            self._succ_indptr_l, self._succ_indices_l, len(self.threads),
+            pkeys, self.ordered,
         )
         return SimulationResult(
-            start_us=dict(zip(self.tasks, starts)),
+            start_us=_StartTimes(self.tasks, self.ordinal, starts),
             makespan_us=makespan,
-            thread_busy=dict(zip(self.threads, busy_lists)),
             ordinals=self.ordinal,
+            thread_busy=_ThreadBusy(self.threads, self.ordered,
+                                    self._thread_idx_l, starts, duration),
         )
 
 
 def _run_arrays(n: int, dur: List[float], gap: List[float],
                 thread_idx: List[int], tnext: List[int],
-                indegree: List[int], succ_rows: List[List[int]],
+                indegree: List[int], sp: List[int], si: List[int],
                 n_threads: int, pkeys: Optional[List[float]],
-                ordered: Sequence[bool],
-                ) -> Tuple[List[float], float, List[List[Tuple[float, float]]]]:
+                ordered: Sequence[bool]) -> Tuple[List[float], float]:
     """The array engine inner loop: integer entries, no Task objects.
 
     Each step dispatches the argmin, over dispatchable tasks, of
     ``(max(thread progress, ready), policy key, ordinal)`` (keys are 0.0
     without a policy).  Ordinals are unique, so the order is total and a
-    pure function of the graph data.
+    pure function of the graph data.  Returns the per-ordinal starts and
+    the makespan; ``sp``/``si`` are the successor CSR's indptr/indices.
+    The loop allocates no per-task container: a thread's busy intervals
+    are derived from the starts afterwards (see ``SimulationResult``).
 
     When every thread is *ordered* (``ordered`` holds per-thread flags)
     there is no heap: a task's start is ``max(thread progress, ready)``
     and both are final by the time its last predecessor executes — the
     chain edge pins each thread's dispatch order, so a plain worklist
-    computes the identical fixpoint (same starts, busy order, makespan).
+    computes the identical fixpoint (same starts and makespan).
 
     Otherwise one loop runs *per-thread dispatch*: a global heap holds
     ``(feasible, key, ordinal, version)`` entries, and each thread has at
@@ -363,7 +374,6 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
     ready = [0.0] * n
     starts = [0.0] * n
     progress = [0.0] * n_threads
-    busy_lists: List[List[Tuple[float, float]]] = [[] for _ in range(n_threads)]
     executed = 0
     makespan = 0.0
     push = heapq.heappush
@@ -384,10 +394,12 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
             if end > makespan:
                 makespan = end
             progress[ti] = end + gap[i]
-            if d > 0.0:
-                busy_lists[ti].append((feasible, end))
             executed += 1
-            for c in succ_rows[i]:
+            k = sp[i]
+            q = sp[i + 1]
+            while k < q:
+                c = si[k]
+                k += 1
                 if ready[c] < end:
                     ready[c] = end
                 r = indeg[c] - 1
@@ -438,9 +450,11 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
                 makespan = end
             cur = end + gap[i]
             progress[ti] = cur
-            if d > 0.0:
-                busy_lists[ti].append((feasible, end))
-            for c in succ_rows[i]:
+            k = sp[i]
+            q = sp[i + 1]
+            while k < q:
+                c = si[k]
+                k += 1
                 rc = ready[c]
                 if rc < end:
                     ready[c] = rc = end
@@ -492,7 +506,7 @@ def _run_arrays(n: int, dur: List[float], gap: List[float],
         raise SimulationError(
             f"deadlock: executed {executed} of {n} tasks (dependency cycle)"
         )
-    return starts, makespan, busy_lists
+    return starts, makespan
 
 
 def compiled_for(graph) -> CompiledGraph:
@@ -589,10 +603,13 @@ def _splice(graph, base: CompiledGraph, written: List[Task],
     threads' blocks by sorted thread: each base ordinal shifts by the
     number of new tasks sorted before it (``remap``), the new blocks are
     lowered from the graph, and only the successor rows and in-degrees an
-    added edge touched are recomputed.  The result equals
-    ``CompiledGraph.build(graph)`` column for column — ordinals included,
-    so even the per-thread dispatch heap breaks its ties identically.
-    O(N + E) list work, but no per-task linked-list walk or field reads.
+    added edge touched are recomputed.  The successor CSR is the base
+    CSR copied by slice between those override rows (its indices
+    remapped in one pass when ordinals shifted), so no per-row list is
+    built.  The result equals ``CompiledGraph.build(graph)`` column for
+    column — ordinals included, so even the per-thread dispatch heap
+    breaks its ties identically.  O(N + E) list work, but no per-task
+    linked-list walk or field reads.
     """
     threads = graph.threads()
     counts = graph._counts
@@ -604,7 +621,6 @@ def _splice(graph, base: CompiledGraph, written: List[Task],
             remap += range(start, start + counts[thread])
         start += counts[thread]
     shifted = bool(remap) and remap[-1] != len(remap) - 1  # increasing
-    base_rows = base._succ_rows
     ordered = [graph.is_ordered(t) for t in threads]
     tasks: List[Task] = []
     duration: List[float] = []
@@ -612,7 +628,6 @@ def _splice(graph, base: CompiledGraph, written: List[Task],
     thread_idx: List[int] = []
     tnext: List[int] = []
     indegree: List[int] = []
-    rows: List[List[int]] = []
     inserted: List[Task] = []
     lo = 0
     for ti, thread in enumerate(threads):
@@ -624,11 +639,6 @@ def _splice(graph, base: CompiledGraph, written: List[Task],
             duration += base._duration_l[lo:hi]
             gap += base._gap_l[lo:hi]
             indegree += base._indegree_l[lo:hi]
-            if shifted:
-                rows += [[remap[c] for c in row] if row else row
-                         for row in base_rows[lo:hi]]
-            else:
-                rows += base_rows[lo:hi]
             lo = hi
         else:
             block = graph.tasks_on(thread)
@@ -637,19 +647,41 @@ def _splice(graph, base: CompiledGraph, written: List[Task],
             duration += [t.__dict__["duration"] for t in block]
             gap += [t.__dict__["gap"] for t in block]
             indegree += [0] * count  # filled in below
-            rows += [_EMPTY_ROW] * count
         thread_idx += [ti] * count
         if ordered[ti]:
             tnext += range(start + 1, start + count)
             tnext.append(-1)
         else:
             tnext += [-1] * count
-    ordinal = dict(zip(tasks, range(len(tasks))))
+    n = len(tasks)
+    ordinal = dict(zip(tasks, range(n)))
     succ = graph._succ
     pred = graph._pred
     prev = graph._prev
-    for task in set(inserted).union(added[0::2]):
-        rows[ordinal[task]] = _succ_row(succ[task], ordinal)
+    # the successor CSR: rows recomputed from the graph (inserted tasks,
+    # added edges' sources) in ordinal order, and between two of them a
+    # run of base tasks with consecutive base ordinals, copied by slice
+    base_ordinal = base.ordinal
+    sp = base._succ_indptr_l
+    si = base._succ_indices_l
+    if shifted:
+        si = [remap[c] for c in si]
+    indptr = [0]
+    indices: List[int] = []
+    f = 0  # the next fresh ordinal to emit
+    for o in sorted({ordinal[t] for t in chain(inserted, added[0::2])}) + [n]:
+        if f < o:
+            b = base_ordinal[tasks[f]]
+            e = b + o - f
+            off = len(indices) - sp[b]
+            indptr += [p + off for p in sp[b + 1:e + 1]]
+            indices += si[sp[b]:sp[e]]
+        if o < n:
+            succs = succ[tasks[o]]
+            if succs:
+                indices += _succ_row(succs, ordinal)
+            indptr.append(len(indices))
+        f = o + 1
     for task in set(inserted).union(added[1::2]):
         i = ordinal[task]
         # an ordered thread's predecessor gates all but the thread's head
@@ -657,7 +689,7 @@ def _splice(graph, base: CompiledGraph, written: List[Task],
                                          and prev[task] is not None)
     _patch(duration, gap, ordinal, written)
     return CompiledGraph(tasks, ordinal, threads, ordered, duration, gap,
-                         thread_idx, tnext, indegree, rows,
+                         thread_idx, tnext, indegree, indptr, indices,
                          graph._generation)
 
 

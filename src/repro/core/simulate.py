@@ -33,8 +33,10 @@ independent frontier-scan oracle in the test suite.
 """
 
 import heapq
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiled import compiled_for, simulate_transacted
 from repro.core.graph import DependencyGraph
@@ -42,26 +44,110 @@ from repro.core.task import Task
 from repro.tracing.records import ExecutionThread
 
 
+class _StartTimes(Mapping):
+    """``task -> simulated start``: a read-only view of one run's starts
+    column, iterating in ordinal order."""
+
+    __slots__ = ("_tasks", "_ordinal", "_starts")
+
+    def __init__(self, tasks: List[Task], ordinal: Dict[Task, int],
+                 starts: List[float]) -> None:
+        self._tasks = tasks
+        self._ordinal = ordinal
+        self._starts = starts
+
+    def __getitem__(self, task: Task) -> float:
+        return self._starts[self._ordinal[task]]
+
+    def __contains__(self, task: object) -> bool:
+        return task in self._ordinal
+
+    def __iter__(self):
+        return iter(self._tasks)
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class _ThreadBusy(Mapping):
+    """``thread -> busy intervals``: a read-only view over every thread of
+    one run, in thread order, derived on access from the run's starts and
+    its own duration column (so it outlives a rolled-back transaction).
+
+    A thread's intervals are ``(start, start + duration)`` of its
+    positive-duration tasks in dispatch order: ordinal order on an ordered
+    thread; start order on an unordered one, because each dispatch on a
+    thread starts no earlier than the previous one ended (gaps are
+    ``>= 0``), so one thread's intervals never overlap.
+    """
+
+    __slots__ = ("_threads", "_ordered", "_thread_idx", "_starts",
+                 "_duration", "_index")
+
+    def __init__(self, threads: List[ExecutionThread], ordered: List[bool],
+                 thread_idx: List[int], starts: List[float],
+                 duration: Sequence[float]) -> None:
+        self._threads = threads
+        self._ordered = ordered
+        self._thread_idx = thread_idx
+        self._starts = starts
+        self._duration = duration
+        self._index = {t: ti for ti, t in enumerate(threads)}
+
+    def __getitem__(self, thread: ExecutionThread
+                    ) -> List[Tuple[float, float]]:
+        ti = self._index[thread]
+        # ordinals are thread-major, so a thread's tasks are one block
+        lo = bisect_left(self._thread_idx, ti)
+        hi = bisect_left(self._thread_idx, ti + 1, lo)
+        busy = [(s, s + d) for s, d in zip(self._starts[lo:hi],
+                                           self._duration[lo:hi])
+                if d > 0.0]
+        if not self._ordered[ti]:
+            busy.sort()
+        return busy
+
+    def __iter__(self):
+        return iter(self._threads)
+
+    def __len__(self) -> int:
+        return len(self._threads)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class SimulationResult:
     """Outcome of one simulation run.
 
+    The per-task and per-thread attributes are read-only ``Mapping``
+    views over the run's columns, not dicts built per run: a query
+    allocates no per-task container.  They iterate like the dicts they
+    replace and compare equal to them.
+
     Attributes:
-        start_us: simulated start time of every task.
+        start_us: simulated start time of every task, in ordinal order.
         makespan_us: end of the last task (excluding its trailing gap) —
             the predicted iteration time.
-        thread_busy: per-thread busy intervals ``(start, end)`` for
-            breakdown analysis.
+        thread_busy: per-thread busy intervals ``(start, end)`` of the
+            positive-duration tasks, in dispatch order, for breakdown
+            analysis; every thread of the run, in thread order, empty
+            threads included.  Derived from the durations the run
+            simulated, not the tasks' current ones.
         ordinals: the stable task ordinals this run dispatched under
             (thread-major; see :class:`repro.core.compiled.CompiledGraph`).
             Used to order duration ties deterministically in
             :meth:`critical_tasks`.
     """
 
-    start_us: Dict[Task, float]
+    start_us: Mapping[Task, float]
     makespan_us: float
     ordinals: Dict[Task, int]
-    thread_busy: Dict[ExecutionThread, List[Tuple[float, float]]] = field(
+    thread_busy: Mapping[ExecutionThread, List[Tuple[float, float]]] = field(
         default_factory=dict
     )
 

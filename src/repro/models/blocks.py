@@ -5,8 +5,6 @@ forward/backward kernel sequences and parameter tensors for one common layer
 type.  Model files compose these into full networks.
 """
 
-from typing import List
-
 from repro.kernels import library as K
 from repro.models.base import LayerSpec, ParamTensor
 
@@ -116,19 +114,6 @@ def dropout_layer(name: str, numel: int) -> LayerSpec:
     )
 
 
-def embedding_layer(
-    name: str, batch_tokens: int, vocab: int, dim: int
-) -> LayerSpec:
-    """Token embedding lookup."""
-    return LayerSpec(
-        name=name,
-        kind="embedding",
-        forward_kernels=[K.embedding_forward(batch_tokens, dim)],
-        backward_kernels=[K.embedding_backward(batch_tokens, dim)],
-        params=[ParamTensor(f"{name}.weight", vocab * dim)],
-    )
-
-
 def loss_layer(name: str, batch_rows: int, classes: int) -> LayerSpec:
     """Softmax cross-entropy loss head."""
     numel = batch_rows * classes
@@ -144,23 +129,3 @@ def _out_hw(h: int, w: int, kernel: int, stride: int, padding: int):
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
     return oh, ow
-
-
-def conv_bn_relu(
-    prefix: str,
-    batch: int,
-    c_in: int,
-    h: int,
-    w: int,
-    c_out: int,
-    kernel: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> List[LayerSpec]:
-    """The ubiquitous CNN building block: conv -> batchnorm -> ReLU."""
-    oh, ow = _out_hw(h, w, kernel, stride, padding)
-    return [
-        conv_layer(f"{prefix}.conv", batch, c_in, h, w, c_out, kernel, stride, padding),
-        batchnorm_layer(f"{prefix}.bn", batch, c_out, oh, ow),
-        relu_layer(f"{prefix}.relu", batch * c_out * oh * ow),
-    ]

@@ -210,13 +210,19 @@ class ScenarioRunner:
         """An outcome carrying externally computed timings.
 
         Validates the scenario exactly like :meth:`run` (pipeline rules,
-        cluster requirements) and builds the cheap model/config/cluster
-        specs, but profiles nothing — this is how grid cells come back.
+        cluster requirements) and builds the model/config/cluster
+        specs, but profiles nothing.
         """
+        return self._detached_outcome(scenario, scenario.build_model(),
+                                      baseline_us, predicted_us, cached)
+
+    def _detached_outcome(self, scenario: Scenario, model: ModelSpec,
+                          baseline_us: float, predicted_us: float,
+                          cached: bool) -> ScenarioOutcome:
         config = scenario.build_config()
         cluster, _pipeline = self._validate(scenario)
         return ScenarioOutcome(scenario=scenario, session=None,
-                               model=scenario.build_model(), config=config,
+                               model=model, config=config,
                                cluster=cluster, baseline_us=baseline_us,
                                predicted_us=predicted_us, cached=cached)
 
@@ -258,7 +264,8 @@ class ScenarioRunner:
         :func:`~repro.scenarios.batch.run_batch` directly).
 
         Results come back in input order, as detached outcomes (no
-        session, no prediction), bit-identical across start methods,
+        session, no prediction; the model spec is the runner's cached one,
+        shared as in :meth:`run`), bit-identical across start methods,
         store tiers and serial :meth:`run` calls.
         """
         scenarios = list(scenarios)
@@ -269,10 +276,15 @@ class ScenarioRunner:
                            start_method=start_method,
                            max_cell_retries=max_cell_retries)
         report.raise_for_failures()
-        return [self.detached_outcome(cell.scenario,
-                                      cell.values["baseline_us"],
-                                      cell.values["predicted_us"],
-                                      cached=cell.cached)
+        # detached outcomes on the cached model specs: building a spec per
+        # cell would cost more than the rest of a stored grid's answer,
+        # and its garbage sets off full collections here and in the next
+        # grid's forked workers
+        return [self._detached_outcome(cell.scenario,
+                                       self.model(cell.scenario),
+                                       cell.values["baseline_us"],
+                                       cell.values["predicted_us"],
+                                       cell.cached)
                 for cell in report.cells]
 
     def run_file(self, path: str,

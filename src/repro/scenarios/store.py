@@ -156,11 +156,19 @@ def timings_ok(values: object, kind: str = "predict") -> bool:
     and ``predicted_us``; every ``groundtruth:*`` kind one
     ``iteration_us``.
     """
+    return isinstance(values, dict) and _bad_timing(values, kind) is None
+
+
+def _bad_timing(values: Dict[str, object], kind: str) -> Optional[str]:
+    """The first timing field of ``kind`` that ``values`` lacks or holds
+    as anything but a finite float; ``None`` when every one is sound."""
     names = (("baseline_us", "predicted_us") if kind == "predict"
              else ("iteration_us",))
-    return isinstance(values, dict) and all(
-        isinstance(values.get(name), float) and math.isfinite(values[name])
-        for name in names)
+    for name in names:
+        value = values.get(name)
+        if not (isinstance(value, float) and math.isfinite(value)):
+            return name
+    return None
 
 
 def _entry_checksum(payload: Dict[str, object]) -> str:
@@ -491,7 +499,20 @@ class SweepStore:
         explicit :meth:`push`.  With ``max_bytes`` set, a write that
         pushes the (approximate) on-disk total past the cap triggers
         :meth:`gc` down to it.
+
+        Raises:
+            ValueError: if a timing field of ``kind`` is missing or not a
+                finite float (see :func:`timings_ok`) — such an entry
+                would never be served — or another value is not
+                JSON-finite.
         """
+        values = dict(values)
+        bad = _bad_timing(values, kind)
+        if bad is not None:
+            raise ValueError(
+                f"refusing to store a {kind!r} entry whose {bad!r} is "
+                f"{values.get(bad)!r}; a stored timing must be a finite "
+                "float")
         key = self.key(scenario, kind=kind)
         payload: Dict[str, object] = {
             "format": RESULT_SCHEMA_VERSION,
@@ -499,10 +520,11 @@ class SweepStore:
             "kind": kind,
             "salt": store_salt(self.registry),
             "scenario": scenario.to_dict(),
-            "values": dict(values),
+            "values": values,
         }
         payload["checksum"] = _entry_checksum(payload)
-        data = (json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        data = (json.dumps(payload, indent=1, sort_keys=True,
+                           allow_nan=False) + "\n")
         self._write_entry(key, data.encode("utf-8"), held=lease)
         return key
 

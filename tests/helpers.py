@@ -8,6 +8,8 @@ conftest pytest put on ``sys.path`` first (historically this picked up
 collection).
 """
 
+import json
+
 from repro.models.base import ModelSpec
 from repro.models.blocks import (
     batchnorm_layer,
@@ -15,6 +17,11 @@ from repro.models.blocks import (
     linear_layer,
     loss_layer,
     relu_layer,
+)
+from repro.scenarios.store import (
+    RESULT_SCHEMA_VERSION,
+    _entry_checksum,
+    store_salt,
 )
 
 
@@ -95,3 +102,22 @@ def naive_simulate(graph, key=None):
     assert len(start_us) == len(graph), "reference deadlocked"
     makespan = max((s + t.duration for t, s in start_us.items()), default=0.0)
     return start_us, makespan, busy
+
+
+def plant_entry(store, scenario, values, kind="predict"):
+    """Write a hand-made entry into ``store``'s local tier, laid out and
+    checksummed as ``SweepStore.put`` would but without its value checks
+    (how a test plants an entry ``put`` refuses to write)."""
+    key = store.key(scenario, kind=kind)
+    payload = {
+        "format": RESULT_SCHEMA_VERSION,
+        "key": key,
+        "kind": kind,
+        "salt": store_salt(store.registry),
+        "scenario": scenario.to_dict(),
+        "values": dict(values),
+    }
+    payload["checksum"] = _entry_checksum(payload)
+    store.local.put(key, (json.dumps(payload, indent=1, sort_keys=True)
+                          + "\n").encode("utf-8"))
+    return key

@@ -31,6 +31,7 @@ from test_simulator_equivalence import random_graph
 
 from repro.analysis.session import WhatIfSession
 from repro.common.errors import GraphConsistencyError
+from repro.core import compiled as compiled_module
 from repro.core.compiled import CellDelta, CompiledGraph, compiled_for, simulate_many
 from repro.core.graph import (
     _FIELD,
@@ -480,16 +481,33 @@ def _assert_same_run(result, ours, expected, theirs):
 @given(random_graph(), _splice_script)
 def test_splice_equals_a_fresh_lowering(g, script):
     simulate(g)  # warm base lowering
+    spliced = []
+    real_splice = compiled_module._splice
+
+    def splice(*args):
+        spliced.append(real_splice(*args))
+        return spliced[-1]
+
     with g.overlay() as working:
         run_script(working, script)
         reference = working.copy()
         for policy in (None, make_priority_scheduler(_prioritized)):
             with mock.patch.object(CompiledGraph, "build", side_effect=
-                                   AssertionError("relowered")):
+                                   AssertionError("relowered")), \
+                    mock.patch.object(compiled_module, "_splice", splice):
                 result = simulate(working, policy)
             expected = CompiledGraph.build(reference).run(policy)
             _assert_same_run(result, working.tasks(), expected,
                              reference.tasks())
+    # the spliced successor CSR, and the array views derived from it,
+    # equal a fresh lowering's
+    fresh = CompiledGraph.build(reference)
+    for ours in spliced:
+        for name in ("_succ_indptr_l", "_succ_indices_l"):
+            assert getattr(ours, name) == getattr(fresh, name)
+        for name in ("succ_indptr", "succ_indices", "pred_indptr",
+                     "pred_indices"):
+            assert list(getattr(ours, name)) == list(getattr(fresh, name))
 
 
 def _lowered_columns(compiled):

@@ -20,7 +20,7 @@ import os
 import pytest
 
 from faults import KillPlan
-from helpers import make_tiny_model
+from helpers import make_tiny_model, plant_entry
 from repro.common.errors import ConfigError
 from repro.experiments.common import cached_measurements
 from repro.framework import groundtruth as gt
@@ -232,6 +232,30 @@ def test_trust_check_refuses_non_finite_timings(kind, bad):
         assert not timings_ok(values, kind)
 
 
+@pytest.mark.parametrize("kind", ["predict", gt.AMP_KIND])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, 1])
+def test_put_refuses_timings_it_would_not_serve(kind, bad, tmp_path):
+    """``put`` fails loudly, naming the kind and the field, on a timing
+    the trust check would refuse, and writes nothing."""
+    names = (("baseline_us", "predicted_us") if kind == "predict"
+             else ("iteration_us",))
+    store = SweepStore(str(tmp_path / "store"))
+    for name in names:
+        values = {other: 1.0 for other in names}
+        if bad is None:
+            del values[name]
+        else:
+            values[name] = bad
+        with pytest.raises(ValueError, match=f"{kind!r}.*{name!r}"):
+            store.put(BASE, values, kind=kind)
+    assert len(store) == 0
+    # a finite timing beside a non-finite extra value is not JSON either
+    with pytest.raises(ValueError):
+        store.put(BASE, {**{name: 1.0 for name in names}, "note": math.nan},
+                  kind=kind)
+    assert len(store) == 0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_entries_are_recomputed_not_served(bad, tmp_path):
     predict = Scenario(model=MODEL, optimizations=["amp"])
@@ -239,8 +263,8 @@ def test_non_finite_entries_are_recomputed_not_served(bad, tmp_path):
     reference = run_batch([predict, truth], jobs=1)
 
     store = SweepStore(str(tmp_path / "store"))
-    store.put(predict, {"baseline_us": bad, "predicted_us": bad})
-    store.put(BASE, {"iteration_us": bad}, kind=gt.AMP_KIND)
+    plant_entry(store, predict, {"baseline_us": bad, "predicted_us": bad})
+    plant_entry(store, BASE, {"iteration_us": bad}, kind=gt.AMP_KIND)
     report = run_batch([predict, truth], store=store, jobs=1)
     assert report.hits == 0 and report.computed == 2
     assert [c.values for c in report.cells] \
@@ -253,7 +277,8 @@ def test_non_finite_entries_are_recomputed_not_served(bad, tmp_path):
 def test_service_recomputes_a_non_finite_memo_entry(tmp_path):
     predict = Scenario(model=MODEL, optimizations=["amp"])
     store = SweepStore(str(tmp_path / "store"))
-    store.put(predict, {"baseline_us": math.nan, "predicted_us": math.inf})
+    plant_entry(store, predict,
+                {"baseline_us": math.nan, "predicted_us": math.inf})
     answer = PredictService(store=store).predict(predict.to_dict())
     assert answer["cached"] is False
     assert all(math.isfinite(v) for v in answer["values"].values())

@@ -32,6 +32,7 @@ from repro.scenarios import (
 from repro.scenarios.store import RESULT_SCHEMA_VERSION, _entry_checksum
 
 MODEL = "tinyremote"
+VALUES = {"baseline_us": 1.0, "predicted_us": 1.0}
 
 
 def build_tinyremote(batch_size=None):
@@ -389,7 +390,7 @@ def run_cli(*argv):
 
 def test_cli_serve_with_duration_exits_cleanly(tmp_path, capsys):
     root = str(tmp_path / "store")
-    SweepStore(root).put(Scenario(model="resnet50"), {"x": 1.0})
+    SweepStore(root).put(Scenario(model="resnet50"), VALUES)
     assert run_cli("store", "serve", root, "--port", "0",
                    "--duration", "0.05") == 0
     assert "serving" in capsys.readouterr().err
@@ -397,7 +398,7 @@ def test_cli_serve_with_duration_exits_cleanly(tmp_path, capsys):
 
 def test_cli_push_pull_round_trip(tmp_path, capsys):
     src = SweepStore(str(tmp_path / "src"))
-    src.put(Scenario(model="resnet50"), {"x": 1.0})
+    src.put(Scenario(model="resnet50"), VALUES)
     with StoreServer(str(tmp_path / "hub"), port=0) as server:
         assert run_cli("store", "push", src.root,
                        "--remote", server.url) == 0
@@ -410,7 +411,7 @@ def test_cli_push_pull_round_trip(tmp_path, capsys):
 
 def test_cli_push_to_unreachable_server_fails_loudly(tmp_path, capsys):
     root = str(tmp_path / "store")
-    SweepStore(root).put(Scenario(model="resnet50"), {"x": 1.0})
+    SweepStore(root).put(Scenario(model="resnet50"), VALUES)
     assert run_cli("store", "push", root,
                    "--remote", "http://127.0.0.1:1", "--retries", "0") == 2
     assert "error" in capsys.readouterr().err

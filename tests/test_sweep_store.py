@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from helpers import make_tiny_model
+from helpers import make_tiny_model, plant_entry
 from repro.common.errors import ConfigError
 from repro.models.registry import register_model
 from repro.optimizations import AutomaticMixedPrecision
@@ -220,6 +220,6 @@ def test_corrupted_cell_is_resimulated_not_trusted(tmp_path):
 def test_missing_values_keys_are_not_trusted(store):
     # a "predict" entry must carry both timings; a hand-written entry
     # with the wrong shape is recomputed, not served
-    store.put(BASE, {"baseline_us": 10.0})  # predicted_us missing
+    plant_entry(store, BASE, {"baseline_us": 10.0})  # predicted_us missing
     from repro.scenarios.store import timings_ok
     assert timings_ok(store.get(BASE)) is False
