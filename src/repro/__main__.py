@@ -551,9 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "requests queue")
     serve_predict.add_argument("--max-sessions", type=int,
                                default=DEFAULT_MAX_SESSIONS, metavar="N",
-                               help="warm per-workload sessions kept in "
-                                    "the LRU pool (default "
-                                    f"{DEFAULT_MAX_SESSIONS})")
+                               help="warm per-workload sessions, and "
+                                    "cached model specs, kept in the LRU "
+                                    f"pool (default {DEFAULT_MAX_SESSIONS})")
     serve_predict.add_argument("--auth-token", default=None, metavar="TOKEN",
                                help="require this Bearer token "
                                     "(constant-time compared) on POST "

@@ -89,6 +89,20 @@ SCENARIO_RESULT_HEADERS = (
 )
 
 
+def validate_stack(scenario: Scenario, registry: OptimizationRegistry
+                   ) -> Tuple[Optional[ClusterSpec], OptimizationPipeline]:
+    """Build a scenario's cluster and pipeline, enforcing the stack's
+    prerequisites (a communication stack needs a cluster)."""
+    cluster = scenario.build_cluster()
+    pipeline = scenario.build_pipeline(registry)
+    if pipeline.requires_cluster and cluster is None:
+        raise ConfigError(
+            f"stack {scenario.stack_label()!r} needs a cluster; "
+            "declare scenario.cluster"
+        )
+    return cluster, pipeline
+
+
 class ScenarioRunner:
     """Run scenarios and scenario grids against cached profiled sessions."""
 
@@ -152,19 +166,6 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------- execution
 
-    def _validate(self, scenario: Scenario) -> Tuple[
-            Optional[ClusterSpec], OptimizationPipeline]:
-        """Build a scenario's cluster and pipeline, enforcing the stack's
-        prerequisites (a communication stack needs a cluster)."""
-        cluster = scenario.build_cluster()
-        pipeline = scenario.build_pipeline(self.registry)
-        if pipeline.requires_cluster and cluster is None:
-            raise ConfigError(
-                f"stack {scenario.stack_label()!r} needs a cluster; "
-                "declare scenario.cluster"
-            )
-        return cluster, pipeline
-
     def run_cells(self, scenario: Scenario, cells: Sequence,
                   scheduler=None) -> List[Prediction]:
         """Answer a grid of parameter cells against one scenario's workload.
@@ -193,7 +194,7 @@ class ScenarioRunner:
     def run(self, scenario: Scenario) -> ScenarioOutcome:
         """Execute one scenario."""
         session, model, config = self._session_entry(scenario)
-        cluster, pipeline = self._validate(scenario)
+        cluster, pipeline = validate_stack(scenario, self.registry)
         prediction = (session.predict(pipeline, cluster=cluster)
                       if len(pipeline) else None)
         predicted_us = (prediction.predicted_us if prediction is not None
@@ -210,17 +211,13 @@ class ScenarioRunner:
         """An outcome carrying externally computed timings.
 
         Validates the scenario exactly like :meth:`run` (pipeline rules,
-        cluster requirements) and builds the model/config/cluster
-        specs, but profiles nothing.
+        cluster requirements) and builds the config and cluster specs on
+        the runner's cached model spec (:meth:`model`), but profiles
+        nothing.
         """
-        return self._detached_outcome(scenario, scenario.build_model(),
-                                      baseline_us, predicted_us, cached)
-
-    def _detached_outcome(self, scenario: Scenario, model: ModelSpec,
-                          baseline_us: float, predicted_us: float,
-                          cached: bool) -> ScenarioOutcome:
+        model = self.model(scenario)
         config = scenario.build_config()
-        cluster, _pipeline = self._validate(scenario)
+        cluster, _pipeline = validate_stack(scenario, self.registry)
         return ScenarioOutcome(scenario=scenario, session=None,
                                model=model, config=config,
                                cluster=cluster, baseline_us=baseline_us,
@@ -270,7 +267,7 @@ class ScenarioRunner:
         """
         scenarios = list(scenarios)
         for scenario in scenarios:
-            self._validate(scenario)
+            validate_stack(scenario, self.registry)
         report = run_batch(scenarios, registry=self.registry, store=store,
                            jobs=parallel, force=force, progress=progress,
                            start_method=start_method,
@@ -280,11 +277,10 @@ class ScenarioRunner:
         # cell would cost more than the rest of a stored grid's answer,
         # and its garbage sets off full collections here and in the next
         # grid's forked workers
-        return [self._detached_outcome(cell.scenario,
-                                       self.model(cell.scenario),
-                                       cell.values["baseline_us"],
-                                       cell.values["predicted_us"],
-                                       cell.cached)
+        return [self.detached_outcome(cell.scenario,
+                                      cell.values["baseline_us"],
+                                      cell.values["predicted_us"],
+                                      cell.cached)
                 for cell in report.cells]
 
     def run_file(self, path: str,

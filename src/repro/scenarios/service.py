@@ -10,17 +10,19 @@ answers fleet-wide through the sweep store.
 * :class:`SessionPool` — an LRU pool of warm
   :class:`~repro.scenarios.runner.ScenarioRunner` sessions keyed by
   workload ``(model, batch size, training config)``, bounded by
-  ``max_sessions``.  Entries are *generation-checked*: a pool built under
-  one store salt flushes wholesale when the registry fingerprint rotates,
-  and a session whose runtime model builder was re-registered is evicted
-  rather than trusted — a stale session must never answer for a workload
-  that no longer means the same thing;
-* :class:`PredictService` — the transport-independent core: parse and
-  validate a scenario payload, consult the
-  :class:`~repro.scenarios.store.SweepStore` memo (the *same* canonical
-  keys and salt as ``repro sweep`` — there is no second keying scheme),
-  compute misses on a pooled warm session, write the result back, and
-  answer with the row bit-identical to the serial CLI path.  Errors
+  ``max_sessions``, beside an LRU of model specs keyed ``(model, batch
+  size)`` under the same bound.  Entries are *generation-checked*: a pool
+  built under one store salt flushes wholesale when the registry
+  fingerprint rotates, and a session or spec whose runtime model builder
+  was re-registered is rebuilt rather than trusted — a stale session must
+  never answer for a workload that no longer means the same thing;
+* :class:`PredictService` — the transport-independent core: parse a
+  scenario payload and validate it once on the pool's cached spec,
+  consult the :class:`~repro.scenarios.store.SweepStore` memo (the
+  *same* canonical keys and salt as ``repro sweep`` — there is no second
+  keying scheme; a hit builds nothing), compute misses on a pooled warm
+  session, write the result back, and answer with the row bit-identical
+  to the serial CLI path.  Errors
   degrade per request: a bad scenario is a 400 with the validation
   message, an engine failure is a 500 for that request only — the
   failing session is evicted and the pool keeps serving;
@@ -49,11 +51,13 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, DaydreamError
 from repro.core.compiled import CellDelta
-from repro.models.registry import runtime_registered_models
+from repro.framework.config import TrainingConfig
+from repro.hw.topology import ClusterSpec
+from repro.models.base import ModelSpec
 from repro.scenarios.backends import HTTPHandlerBase, HTTPServerBase
 from repro.scenarios.pipeline import PipelineError
 from repro.scenarios.registry import DEFAULT_REGISTRY, OptimizationRegistry
@@ -61,6 +65,7 @@ from repro.scenarios.runner import (
     SCENARIO_RESULT_HEADERS,
     ScenarioOutcome,
     ScenarioRunner,
+    validate_stack,
 )
 from repro.scenarios.scenario import Scenario, ScenarioGrid
 from repro.scenarios.store import (
@@ -82,6 +87,9 @@ DEFAULT_WORKERS = 4
 
 #: the rolling window of per-request latencies behind ``GET /stats``
 LATENCY_WINDOW = 2048
+
+#: what validating a scenario builds: its model, config and cluster specs
+_Specs = Tuple[ModelSpec, TrainingConfig, Optional[ClusterSpec]]
 
 
 class ServiceError(DaydreamError):
@@ -127,18 +135,6 @@ def _percentile(samples: List[float], q: float) -> Optional[float]:
     return ordered[rank]
 
 
-def _workload_token(model: str):
-    """Identity of the runtime builder registered for one model name.
-
-    ``None`` for shipped zoo models (immutable within a process); the
-    builder callable itself for runtime registrations — re-registering a
-    model with ``overwrite=True`` changes the identity, which is how the
-    pool detects that a cached session answers for a workload that no
-    longer means the same thing.
-    """
-    return runtime_registered_models().get(model.lower())
-
-
 @dataclass
 class _SessionEntry:
     """One pooled workload: its runner, lock and generation stamps."""
@@ -147,7 +143,6 @@ class _SessionEntry:
     runner: ScenarioRunner
     model_token: object
     lock: threading.Lock = field(default_factory=threading.Lock)
-    served: int = 0
 
 
 class SessionPool:
@@ -159,16 +154,22 @@ class SessionPool:
     matter what optimization stack it asks about.  The pool holds at most
     ``max_sessions`` entries, evicting least-recently-used beyond that.
 
+    Beside the sessions it keeps the model specs requests are validated
+    on (:meth:`model`): an LRU keyed ``(model, batch size)``, bounded by
+    the same ``max_sessions`` because a client picks the batch size, and
+    a new entry's runner starts from the cached spec, so a new workload
+    builds its spec once.
+
     Two invalidation rules keep warm state honest:
 
     * the whole pool records the :func:`~repro.scenarios.store.
-      store_salt` it was built under and **flushes** when the registry
-      fingerprint rotates (a new generation of content keys deserves a
-      fresh generation of sessions);
-    * each entry records the identity of its model's *runtime builder*
-      and is **evicted** when the builder was re-registered — the cached
-      session profiled the old model and serving it would be a stale,
-      silently-wrong answer.
+      store_salt` it was built under and **flushes** its sessions when
+      the registry fingerprint rotates (a new generation of content keys
+      deserves a fresh generation of sessions);
+    * each entry and each spec records the identity of its model's
+      *runtime builder* and is **rebuilt** when the builder was
+      re-registered — the cached session profiled the old model and
+      serving it would be a stale, silently-wrong answer.
     """
 
     def __init__(self, registry: Optional[OptimizationRegistry] = None,
@@ -179,6 +180,9 @@ class SessionPool:
         self.max_sessions = max_sessions
         self._lock = threading.Lock()
         self._entries: "collections.OrderedDict[object, _SessionEntry]" = \
+            collections.OrderedDict()
+        #: (model, batch size) -> (spec, builder token), in LRU order
+        self._models: "collections.OrderedDict[object, tuple]" = \
             collections.OrderedDict()
         self._salt = store_salt(self.registry)
         self.built = 0
@@ -193,6 +197,28 @@ class SessionPool:
         with self._lock:
             return self._salt
 
+    def model(self, scenario: Scenario) -> ModelSpec:
+        """The model spec of a scenario's workload, from the bounded cache.
+
+        Built outside the pool lock (a big model takes milliseconds) on a
+        miss or a re-registered builder; a build that raises caches
+        nothing.
+        """
+        key = (scenario.model, scenario.batch_size)
+        token = ScenarioRunner._builder_token(scenario)
+        with self._lock:
+            cached = self._models.get(key)
+            if cached is not None and cached[1] is token:
+                self._models.move_to_end(key)
+                return cached[0]
+        spec = scenario.build_model()
+        with self._lock:
+            self._models[key] = (spec, token)
+            self._models.move_to_end(key)
+            while len(self._models) > self.max_sessions:
+                self._models.popitem(last=False)
+        return spec
+
     def checkout(self, scenario: Scenario) -> _SessionEntry:
         """The (possibly fresh) pool entry serving one scenario's workload.
 
@@ -204,7 +230,7 @@ class SessionPool:
         """
         config = scenario.build_config()
         workload = (scenario.model, scenario.batch_size, config)
-        token = _workload_token(scenario.model)
+        token = ScenarioRunner._builder_token(scenario)
         with self._lock:
             salt = store_salt(self.registry)
             if salt != self._salt:
@@ -217,8 +243,12 @@ class SessionPool:
                 self.evicted_stale_model += 1
                 entry = None
             if entry is None:
-                entry = _SessionEntry(workload=workload,
-                                      runner=ScenarioRunner(self.registry),
+                runner = ScenarioRunner(self.registry)
+                spec_key = (scenario.model, scenario.batch_size)
+                cached = self._models.get(spec_key)
+                if cached is not None and cached[1] is token:
+                    runner._models[spec_key] = cached  # same (spec, token)
+                entry = _SessionEntry(workload=workload, runner=runner,
                                       model_token=token)
                 self._entries[workload] = entry
                 self.built += 1
@@ -227,7 +257,6 @@ class SessionPool:
                     self.evicted_lru += 1
             else:
                 self._entries.move_to_end(workload)
-            entry.served += 1
             return entry
 
     def evict(self, entry: _SessionEntry) -> None:
@@ -241,13 +270,6 @@ class SessionPool:
                 del self._entries[entry.workload]
                 self.evicted_error += 1
 
-    def flush(self) -> int:
-        """Drop every pooled session; returns how many were live."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            return dropped
-
     def __len__(self) -> int:
         """How many warm sessions are currently pooled."""
         with self._lock:
@@ -259,6 +281,7 @@ class SessionPool:
             return {
                 "live": len(self._entries),
                 "capacity": self.max_sessions,
+                "specs": len(self._models),
                 "built": self.built,
                 "evicted_lru": self.evicted_lru,
                 "evicted_error": self.evicted_error,
@@ -286,6 +309,11 @@ class PredictService:
     computed by a sweep is a warm hit here and vice versa.  A store built
     against a different registry object is refused outright: one keying
     scheme, enforced.
+
+    Every request is validated once, on the pool's cached model spec
+    (:meth:`SessionPool.model`), before any memo read or pool checkout; a
+    memo hit answers from what that validation built and the store's
+    values, so it builds no spec and profiles nothing.
     """
 
     def __init__(self, registry: Optional[OptimizationRegistry] = None,
@@ -304,8 +332,6 @@ class PredictService:
         self.pool = SessionPool(self.registry, max_sessions=max_sessions)
         self.workers = workers
         self._gate = threading.BoundedSemaphore(workers)
-        #: sessionless runner building rows for store-served answers
-        self._detached = ScenarioRunner(self.registry)
         self._lock = threading.Lock()
         self._requests: "collections.Counter[str]" = collections.Counter()
         self._errors: "collections.Counter[int]" = collections.Counter()
@@ -343,24 +369,22 @@ class PredictService:
 
     # ---------------------------------------------------------- validation
 
-    def _validate(self, scenario: Scenario) -> None:
+    def _validate(self, scenario: Scenario) -> _Specs:
         """Reject everything a 400 should catch before any warm state.
 
         Unknown models, unknown optimizations, malformed stacks, bad
         device declarations and cluster-requiring stacks without a
-        cluster all fail here — cheap spec construction only, no
-        profiling, no pool slot consumed.
+        cluster (:func:`~repro.scenarios.runner.validate_stack`) all fail
+        here — on the pool's cached model spec, no profiling, no pool
+        slot consumed.  Returns the specs a memo hit's outcome carries.
         """
         try:
-            scenario.build_model()
-            scenario.build_config()
-            pipeline = scenario.build_pipeline(self.registry)
-            if pipeline.requires_cluster and scenario.build_cluster() is None:
-                raise ConfigError(
-                    f"stack {scenario.stack_label()!r} needs a cluster; "
-                    "declare scenario.cluster")
+            model = self.pool.model(scenario)
+            config = scenario.build_config()
+            cluster, _pipeline = validate_stack(scenario, self.registry)
         except (ConfigError, PipelineError) as exc:
             raise ServiceError(str(exc)) from None
+        return model, config, cluster
 
     # ----------------------------------------------------------- responses
 
@@ -381,37 +405,40 @@ class PredictService:
 
     # ------------------------------------------------------------ predict
 
-    def _memo_hit(self, scenario: Scenario,
-                  key: str) -> Optional[Dict[str, object]]:
+    def _memo_hit(self, scenario: Scenario, key: str,
+                  specs: _Specs) -> Optional[Dict[str, object]]:
         """The answer memoized on the store for one scenario, if any.
 
         The same trust check the batch executor applies to a store hit
         (:func:`~repro.scenarios.store.timings_ok`): the service and the
-        sweep executor share one memoization contract, not two.
+        sweep executor share one memoization contract, not two.  The
+        outcome carries the ``specs`` validation built; nothing is built
+        or validated again.
         """
         if self.store is None:
             return None
         values = self.store.get(scenario)
         if not timings_ok(values):
             return None
-        outcome = self._detached.detached_outcome(
-            scenario, values["baseline_us"], values["predicted_us"],
-            cached=True)
+        model, config, cluster = specs
+        outcome = ScenarioOutcome(
+            scenario=scenario, model=model, config=config, cluster=cluster,
+            baseline_us=values["baseline_us"],
+            predicted_us=values["predicted_us"], cached=True)
         return self._response(scenario, key, outcome)
 
-    def _predict_one(self, payload: object) -> Dict[str, object]:
+    def _predict_one(self, scenario: Scenario) -> Dict[str, object]:
         """Answer one scenario: memo read → warm simulate → memo write."""
-        scenario = parse_scenario_payload(payload)
-        self._validate(scenario)
+        specs = self._validate(scenario)
         key = self.key_for(scenario)
-        hit = self._memo_hit(scenario, key)
+        hit = self._memo_hit(scenario, key, specs)
         if hit is not None:
             return hit
         entry = self.pool.checkout(scenario)
         with entry.lock:
             # double-checked memoization: a concurrent twin may have
             # landed this entry while we waited on the session lock
-            hit = self._memo_hit(scenario, key)
+            hit = self._memo_hit(scenario, key, specs)
             if hit is not None:
                 return hit
             with self._gate:
@@ -441,7 +468,7 @@ class PredictService:
         self.note_request("predict")
         t0 = time.perf_counter()
         try:
-            result = self._predict_one(payload)
+            result = self._predict_one(parse_scenario_payload(payload))
         except ServiceError as exc:
             self.note_error(exc.status)
             raise
@@ -498,7 +525,7 @@ class PredictService:
             if "cells" in payload:
                 return self._predict_cells(payload)
             scenarios = self._batch_scenarios(payload)
-            results = [self._predict_one(s.to_dict()) for s in scenarios]
+            results = [self._predict_one(s) for s in scenarios]
             return {
                 "count": len(results),
                 "headers": list(SCENARIO_RESULT_HEADERS),
@@ -564,6 +591,7 @@ class PredictService:
         with entry.lock:
             try:
                 session = entry.runner.session(scenario)
+                tasks = session.graph.tasks()
             except ConfigError as exc:
                 raise ServiceError(str(exc)) from None
             except Exception as exc:
@@ -573,7 +601,7 @@ class PredictService:
                     status=500) from None
             by_name: Dict[str, object] = {}
             ambiguous: "set[str]" = set()
-            for task in session.graph.tasks():
+            for task in tasks:
                 if task.name in by_name:
                     ambiguous.add(task.name)
                 else:

@@ -15,6 +15,7 @@ fingerprint) fail on the old trusting code.
 
 import http.client
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -532,3 +533,166 @@ def test_keys_on_the_wire_are_sweep_store_keys(tmp_path):
     scenario = Scenario.from_dict(SCENARIO)
     assert answer["key"] == store.key(scenario)
     assert answer["key"] == scenario_key(scenario, service.registry)
+
+
+# ------------------------------------------- memo hits and the spec cache
+
+def _refuse_model_builds(monkeypatch):
+    """Make every ``build_model`` binding under ``repro`` raise."""
+    from repro.models import registry
+
+    original = registry.build_model
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("build_model called on a memo hit")
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "repro"
+                and getattr(module, "build_model", None) is original):
+            monkeypatch.setattr(module, "build_model", refuse)
+
+
+def test_memo_hits_build_no_model_spec(tmp_path, monkeypatch):
+    """A hit is a lookup: with ``build_model`` raising, a warmed service
+    still answers every single, list and grid hit with the serial rows."""
+    payloads = [{"model": MODEL, "optimizations": ["amp"]},
+                {"model": MODEL},
+                {"model": MODEL, "batch_size": 2,
+                 "optimizations": ["fused_adam"]}]
+    grid = {"base": {"model": MODEL, "optimizations": ["amp"]},
+            "axes": {"batch_size": [2, 4]}}
+    expected = [ScenarioRunner().run(Scenario.from_dict(p)).as_row()
+                for p in payloads]
+    expected_grid = [ScenarioRunner().run(Scenario.from_dict(
+        {"model": MODEL, "batch_size": b, "optimizations": ["amp"]}
+    )).as_row() for b in (2, 4)]
+    service = PredictService(store=SweepStore(str(tmp_path / "store")))
+    warm = [service.predict(p) for p in payloads]
+    warm_grid = service.predict_batch(grid)["results"]
+
+    _refuse_model_builds(monkeypatch)
+    singles = [service.predict(p) for p in payloads]
+    listed = service.predict_batch({"scenarios": payloads})["results"]
+    gridded = service.predict_batch(grid)["results"]
+    assert all(a["cached"] for a in singles + listed + gridded)
+    assert [a["row"] for a in singles] == expected
+    assert [a["row"] for a in listed] == expected
+    assert [a["row"] for a in gridded] == expected_grid
+    # a hit answers exactly what the computed answer said, bar `cached`
+    for computed, hit in zip(warm + warm_grid, singles + gridded):
+        assert dict(computed, cached=True) == hit
+
+
+def test_spec_cache_is_bounded_and_seeds_new_sessions():
+    """At most ``max_sessions`` specs stay cached, however many batch
+    sizes clients ask for; a new workload builds its spec once."""
+    builds = []
+
+    def counting(batch_size=None):
+        builds.append(batch_size)
+        return make_tiny_model(batch=batch_size or 4)
+
+    register_model("tinyspec", counting, overwrite=True)
+    service = PredictService(max_sessions=2)
+    for batch in (2, 3, 4, 5, 6):
+        service.predict({"model": "tinyspec", "batch_size": batch})
+        assert service.pool.stats()["specs"] <= 2
+    assert builds == [2, 3, 4, 5, 6]  # validation's spec feeds the session
+    service.predict({"model": "tinyspec", "batch_size": 6,
+                     "optimizations": ["amp"]})
+    assert builds == [2, 3, 4, 5, 6]  # still cached
+    service.predict({"model": "tinyspec", "batch_size": 2})
+    assert builds == [2, 3, 4, 5, 6, 2]  # evicted long ago, rebuilt
+    assert service.pool.stats()["specs"] == 2
+
+
+def test_a_re_registered_failing_builder_turns_a_hit_into_a_400(tmp_path):
+    """A cached spec is never trusted past a re-registration."""
+    register_model("tinyswap3", lambda batch_size=None: make_tiny_model(
+        batch=batch_size or 2), overwrite=True)
+    service = PredictService(store=SweepStore(str(tmp_path / "store")))
+    payload = {"model": "tinyswap3", "optimizations": ["amp"]}
+    service.predict(payload)
+    assert service.predict(payload)["cached"] is True
+
+    def broken(batch_size=None):
+        raise ConfigError("tinyswap3 was withdrawn")
+
+    register_model("tinyswap3", broken, overwrite=True)
+    with pytest.raises(ServiceError) as excinfo:
+        service.predict(payload)
+    assert excinfo.value.status == 400
+    assert str(excinfo.value) == "tinyswap3 was withdrawn"
+
+
+def test_unknown_model_is_a_400_with_the_registry_message():
+    """The spec cache keeps the registry's message and caches nothing."""
+    from repro.models.registry import build_model
+
+    with pytest.raises(ConfigError) as expected:
+        build_model("unobtanium")
+    service = PredictService()
+    with PredictServer(service) as server:
+        status, body = post(server.url, "/predict", {"model": "unobtanium"})
+    assert status == 400
+    assert body["error"] == str(expected.value)
+    assert service.pool.stats()["specs"] == 0
+    assert service.pool.stats()["built"] == 0
+
+
+def test_cells_graph_failure_is_a_500_that_evicts_the_session(monkeypatch):
+    """Building the baseline graph for a ``cells`` grid is engine work: a
+    failure there is a 500 that evicts the session, like on /predict."""
+    import repro.analysis.session as session_module
+
+    original = session_module.build_graph
+
+    def broken(trace):
+        raise RuntimeError("injected graph failure")
+
+    body = {"scenario": {"model": MODEL}, "cells": [{"label": "asis"}]}
+    service = PredictService()
+    with PredictServer(service) as server:
+        monkeypatch.setattr(session_module, "build_graph", broken)
+        status, answer = post(server.url, "/predict/batch", body)
+        assert status == 500
+        assert "engine failure" in answer["error"]
+        monkeypatch.setattr(session_module, "build_graph", original)
+        status, answer = post(server.url, "/predict/batch", body)
+        assert status == 200 and answer["count"] == 1
+    stats = service.stats()
+    assert stats["errors"] == {"500": 1}
+    assert stats["sessions"]["evicted_error"] == 1
+    assert stats["sessions"]["built"] == 2  # rebuilt, not the broken one
+
+
+def test_spec_cache_holds_its_bound_under_concurrent_requests():
+    """Threads racing over more batch sizes than the bound: every spec
+    answers for its own batch size and the cache never outgrows it."""
+    pool = PredictService(max_sessions=2).pool
+    scenarios = [Scenario(model=MODEL, batch_size=b) for b in (2, 3, 4, 5, 6)]
+    failures = []
+
+    def client(worker: int) -> None:
+        for round_ in range(40):
+            scenario = scenarios[(worker + round_) % len(scenarios)]
+            spec = pool.model(scenario)
+            if spec.batch_size != scenario.batch_size:
+                failures.append((scenario.batch_size, spec.batch_size))
+            if pool.stats()["specs"] > 2:
+                failures.append(("over bound", pool.stats()["specs"]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:5]
+    assert pool.stats()["specs"] == 2
